@@ -156,45 +156,18 @@ Result<ProvenanceResult> AiqlEngine::Track(const TrackRequest& request) {
 
 Result<ProvenanceResult> AiqlEngine::Track(const TrackRequest& request,
                                            QueryContext* ctx) {
-  if (shards_ != nullptr) return TrackSharded(request, ctx);
-  ReadView view = OpenView();
-  ScopedQueryContext bind(ctx);
-  const EntityStore& entities = view.entities();
-  LikeMatcher matcher(request.name_like);
-  std::vector<EntityId> ids;
-  switch (request.type) {
-    case EntityType::kProcess:
-      ids = entities.FindProcessesByExe(matcher);
-      break;
-    case EntityType::kFile:
-      ids = entities.FindFilesByPath(matcher);
-      break;
-    case EntityType::kNetwork:
-      ids = entities.FindNetworksByIp(matcher, /*use_src=*/false);
-      break;
+  // One atomic view per shard (a single store is a one-view list), taken up
+  // front — root resolution and every hop run against this consistent
+  // snapshot.
+  std::vector<ReadView> views;
+  if (shards_ != nullptr) {
+    if (shards_->num_shards() == 0) {
+      return Status::InvalidArgument("shard map has no shards");
+    }
+    views = shards_->OpenReadViews();
+  } else {
+    views.push_back(OpenView());
   }
-  if (ids.empty()) {
-    return Status::NotFound("no " +
-                            std::string(EntityTypeToString(request.type)) +
-                            " entity matches '" + request.name_like + "'");
-  }
-  std::vector<std::pair<EntityType, EntityId>> roots;
-  roots.reserve(ids.size());
-  for (EntityId id : ids) roots.emplace_back(request.type, id);
-  Timestamp anchor = request.anchor.value_or(
-      request.options.backward ? INT64_MAX : INT64_MIN);
-  return TrackProvenance(view, roots, anchor, request.options, pool_.get(),
-                         ctx);
-}
-
-Result<ProvenanceResult> AiqlEngine::TrackSharded(const TrackRequest& request,
-                                                  QueryContext* ctx) {
-  if (shards_->num_shards() == 0) {
-    return Status::InvalidArgument("shard map has no shards");
-  }
-  // One atomic view per shard, taken up front — root resolution and every
-  // hop run against this consistent scatter-time snapshot.
-  std::vector<ReadView> views = shards_->OpenReadViews();
   LikeMatcher matcher(request.name_like);
   std::vector<ShardEntity> roots;
   for (size_t s = 0; s < views.size(); ++s) {
@@ -222,14 +195,10 @@ Result<ProvenanceResult> AiqlEngine::TrackSharded(const TrackRequest& request,
   }
   Timestamp anchor = request.anchor.value_or(
       request.options.backward ? INT64_MAX : INT64_MIN);
-  // Engine-level degradation policy overrides the request's retry knobs.
-  ProvenanceOptions track_options = request.options;
-  track_options.shard_max_attempts = options_.shard_max_attempts;
-  track_options.shard_retry_backoff = options_.shard_retry_backoff;
-  track_options.partial_shards =
-      options_.shard_policy == ShardPolicy::kPartial;
-  return TrackProvenanceSharded(views, roots, anchor, track_options,
-                                pool_.get(), ctx);
+  // Shard retry and dropping follow the engine's degradation policy, and
+  // apply only over a shard map (as with Execute).
+  return TrackProvenance(views, roots, anchor, request.options, pool_.get(),
+                         ctx, shards_ != nullptr ? &options_ : nullptr);
 }
 
 }  // namespace aiql

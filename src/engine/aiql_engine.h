@@ -95,11 +95,12 @@ class AiqlEngine {
   /// entities matching `request`. Runs against the same consistent ReadView
   /// machinery as Execute — including lazily materialized snapshot views,
   /// where each hop reads only the partitions its time bounds select.
-  /// Governance mirrors Execute (default_limits / caller context). Sharded
-  /// tracking applies the engine's shard retry/degradation policy: the
-  /// request's ProvenanceOptions retry knobs are overridden from
-  /// EngineOptions (shard_max_attempts, shard_retry_backoff, and
-  /// partial_shards = (shard_policy == kPartial)).
+  /// Governance mirrors Execute (default_limits / caller context). A
+  /// single store is tracked as a one-view shard list: each hop makes one
+  /// partition-selection attempt and a storage error fails the track with
+  /// its own code. Over a ShardMap each shard's per-hop selection follows
+  /// the engine's retry/degradation policy (shard_max_attempts,
+  /// shard_retry_backoff, shard_policy), as Execute does.
   Result<ProvenanceResult> Track(const TrackRequest& request);
   Result<ProvenanceResult> Track(const TrackRequest& request,
                                  QueryContext* ctx);
@@ -108,9 +109,6 @@ class AiqlEngine {
 
  private:
   Result<QueryResult> Dispatch(const ParsedQuery& parsed, QueryContext* ctx);
-
-  Result<ProvenanceResult> TrackSharded(const TrackRequest& request,
-                                        QueryContext* ctx);
 
   /// Opens the backing store's read view (database, tiered, or snapshot).
   ReadView OpenView() const;

@@ -4,7 +4,8 @@
 // expands an unknown number of hops).
 //
 // TrackProvenance runs frontier expansion over the sealed partitions of a
-// ReadView: each hop expands every frontier entity through the reverse
+// list of ReadViews — one per shard of a ShardMap, or a one-element list for
+// a single store: each hop expands every frontier entity through the reverse
 // entity indexes built at Seal() (see storage/partition.h), following the
 // information-flow direction of each operation —
 //
@@ -27,7 +28,6 @@
 #ifndef AIQL_ENGINE_PROVENANCE_H_
 #define AIQL_ENGINE_PROVENANCE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -89,16 +89,6 @@ struct ProvenanceOptions {
 
   /// Restrict hops to these agents (nullopt = all agents).
   std::optional<std::vector<AgentId>> agents;
-
-  /// Degraded sharded tracking (TrackProvenanceSharded only): a shard whose
-  /// per-hop partition selection keeps failing with a transient storage
-  /// fault after `shard_max_attempts` tries (doubled `shard_retry_backoff`
-  /// between tries) is either dropped for the rest of the run — annotated
-  /// in ProvenanceStats::shard_status, graph marked truncated — when
-  /// `partial_shards` is true, or fails the whole run with kUnavailable.
-  int shard_max_attempts = 3;
-  std::chrono::milliseconds shard_retry_backoff{5};
-  bool partial_shards = false;
 };
 
 /// One entity in the provenance graph.
@@ -150,7 +140,7 @@ struct ProvenanceStats {
   /// many candidates each cut (depth-budget truncation has no entry — it is
   /// visible as a non-empty final frontier, `truncated` alone).
   std::vector<TruncatedExpansion> truncated_expansions;
-  /// Sharded runs only: one entry per shard that needed retries or was
+  /// Shard-map runs only: one entry per shard that needed retries or was
   /// dropped (clean shards are omitted).
   std::vector<ShardTrackStatus> shard_status;
   int shards_dropped = 0;
@@ -165,48 +155,50 @@ struct ProvenanceResult {
   ProvenanceStats stats;
 };
 
-/// Tracks provenance from `roots` (each anchored at `anchor`): backward
-/// admits events ending at or before the anchor, forward events starting at
-/// or after it. `pool` may be null (hops then scan partitions serially).
-/// Fails when the view cannot materialize a selected partition
-/// (snapshot-backed views) or when `roots` is empty. `ctx` (optional)
-/// governs the run: posting entries inspected charge the row budget, node
-/// admissions charge the node budget, and every hop checkpoints — a breach
-/// aborts with the context's sticky status (kDeadlineExceeded /
-/// kCancelled / kResourceExhausted).
-Result<ProvenanceResult> TrackProvenance(
-    const ReadView& view,
-    const std::vector<std::pair<EntityType, EntityId>>& roots,
-    Timestamp anchor, const ProvenanceOptions& options,
-    ThreadPool* pool = nullptr, QueryContext* ctx = nullptr);
-
-/// An entity addressed in one shard's id space (sharded tracking roots).
+/// An entity addressed in one shard's id space (tracking roots; shard 0 on
+/// a single store).
 struct ShardEntity {
   uint32_t shard = 0;
   EntityType type = EntityType::kProcess;
   EntityId id = 0;
 };
 
-/// Cross-shard provenance tracking over one ReadView per shard (index =
-/// shard). Entity ids are per-shard, so the global node table is keyed by
-/// full attribute tuples: a frontier entity discovered on shard A seeds
-/// hops on every shard that has interned the same attributes, and when two
+struct EngineOptions;
+
+/// Tracks provenance from `roots` (each anchored at `anchor`) over `views`,
+/// one per shard (index = shard; a single store passes one view): backward
+/// admits events ending at or before the anchor, forward events starting at
+/// or after it. `pool` may be null (hops then scan partitions serially).
+///
+/// Entity ids are per-shard: a node created on one shard is translated by
+/// attribute tuple into every other shard that has interned it, so a
+/// frontier entity discovered on shard A seeds hops on every shard, and when
 /// paths on different shards reach one logical entity the looser (wider)
-/// time bound wins and the entity re-expands — the same bound-widening rule
-/// TrackProvenance applies within one database. Per-hop partition scans
-/// run over the globally merged (bucket, agent) partition order, so with
-/// the same records an untruncated sharded run recovers exactly the graph
-/// a merged single database would (truncation tie-breaks match too, except
-/// exact time ties straddling a fanout cut across shards).
-/// Governance (`ctx`) matches TrackProvenance. Per-shard partition
-/// selection retries transient storage faults per the ProvenanceOptions
-/// retry knobs; an exhausted shard is dropped (partial_shards) with the
-/// remaining shards' graph annotated in stats.shard_status, or fails the
-/// run with kUnavailable naming the shard and cause.
-Result<ProvenanceResult> TrackProvenanceSharded(
+/// time bound wins and the entity re-expands. Per-hop partition scans run
+/// over the globally merged (bucket, agent) partition order, so with the
+/// same records an untruncated run recovers exactly the graph a merged
+/// single database would (truncation tie-breaks match too, except exact time
+/// ties straddling a fanout cut across shards).
+///
+/// `ctx` (optional) governs the run: posting entries inspected charge the
+/// row budget, node admissions charge the node budget, and every hop
+/// checkpoints — a breach aborts with the context's sticky status
+/// (kDeadlineExceeded / kCancelled / kResourceExhausted).
+///
+/// Fails when `views` or `roots` is empty, or when a view cannot
+/// materialize a selected partition. With `shard_retry` null (a single
+/// store) each hop makes one selection attempt per view and a storage error
+/// fails the run with its own code. With `shard_retry` set (the views are a
+/// ShardMap's shards) each shard's per-hop selection runs under
+/// AttemptShard with its shard_max_attempts / shard_retry_backoff; an
+/// exhausted shard fails the run with kUnavailable naming the shard and
+/// cause, or — under ShardPolicy::kPartial — is dropped for the rest of the
+/// run, annotated in stats.shard_status with the graph marked truncated.
+Result<ProvenanceResult> TrackProvenance(
     const std::vector<ReadView>& views, const std::vector<ShardEntity>& roots,
     Timestamp anchor, const ProvenanceOptions& options,
-    ThreadPool* pool = nullptr, QueryContext* ctx = nullptr);
+    ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
+    const EngineOptions* shard_retry = nullptr);
 
 }  // namespace aiql
 

@@ -30,45 +30,6 @@ Duration ElapsedUs(Clock::time_point since) {
       .count();
 }
 
-/// Runs `attempt` with bounded retry/backoff for transient storage faults
-/// (engine options shard_max_attempts / shard_retry_backoff). The backoff
-/// doubles per retry and sleeps interruptibly, so deadline/cancel cut it
-/// short. After retries exhaust, a transient error is mapped to
-/// kUnavailable naming the shard and the underlying cause. `attempts_out`
-/// reports the total attempts made.
-template <typename Fn>
-auto AttemptShard(size_t shard, const EngineOptions& options, QueryContext* ctx,
-                  int* attempts_out, Fn&& attempt)
-    -> decltype(attempt()) {
-  const int max_attempts = std::max(1, options.shard_max_attempts);
-  auto backoff = options.shard_retry_backoff;
-  int attempts = 0;
-  decltype(attempt()) last = Status::Internal("shard not attempted");
-  while (attempts < max_attempts) {
-    ++attempts;
-    if (ctx != nullptr) {
-      Status governed = ctx->Check();
-      if (!governed.ok()) {
-        last = governed;
-        break;
-      }
-    }
-    last = attempt();
-    if (last.ok() || !IsTransientShardError(last.status().code())) break;
-    if (attempts >= max_attempts) break;
-    InterruptibleSleep(
-        std::chrono::duration_cast<std::chrono::microseconds>(backoff));
-    backoff *= 2;
-  }
-  *attempts_out = attempts;
-  if (!last.ok() && IsTransientShardError(last.status().code())) {
-    last = Status::Unavailable(
-        "shard " + std::to_string(shard) + " unavailable after " +
-        std::to_string(attempts) + " attempt(s): " + last.status().ToString());
-  }
-  return last;
-}
-
 /// Fills the DegradedInfo summary counters from per-shard annotations.
 DegradedInfo SummarizeShards(std::vector<ShardExecStatus> shard_status) {
   DegradedInfo info;

@@ -21,13 +21,17 @@
 #ifndef AIQL_ENGINE_SHARD_MERGE_H_
 #define AIQL_ENGINE_SHARD_MERGE_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "engine/result.h"
+#include "engine/scheduler.h"
 
 namespace aiql {
 
@@ -51,6 +55,46 @@ int CompareRowsByKeys(const std::vector<Value>& a, const std::vector<Value>& b,
 /// retry, and that map to kUnavailable once retries exhaust. Query-level
 /// errors (parse/semantic/deadline/cancel/budget) are never transient.
 bool IsTransientShardError(StatusCode code);
+
+/// Runs `attempt` with bounded retry/backoff for transient storage faults
+/// (engine options shard_max_attempts / shard_retry_backoff). The backoff
+/// doubles per retry and sleeps interruptibly, so deadline/cancel cut it
+/// short. After retries exhaust, a transient error is mapped to
+/// kUnavailable naming the shard and the underlying cause. `attempts_out`
+/// reports the total attempts made. Shared by scattered query execution
+/// and the per-hop partition selection of sharded provenance tracking.
+template <typename Fn>
+auto AttemptShard(size_t shard, const EngineOptions& options, QueryContext* ctx,
+                  int* attempts_out, Fn&& attempt)
+    -> decltype(attempt()) {
+  const int max_attempts = std::max(1, options.shard_max_attempts);
+  auto backoff = options.shard_retry_backoff;
+  int attempts = 0;
+  decltype(attempt()) last = Status::Internal("shard not attempted");
+  while (attempts < max_attempts) {
+    ++attempts;
+    if (ctx != nullptr) {
+      Status governed = ctx->Check();
+      if (!governed.ok()) {
+        last = governed;
+        break;
+      }
+    }
+    last = attempt();
+    if (last.ok() || !IsTransientShardError(last.status().code())) break;
+    if (attempts >= max_attempts) break;
+    InterruptibleSleep(
+        std::chrono::duration_cast<std::chrono::microseconds>(backoff));
+    backoff *= 2;
+  }
+  *attempts_out = attempts;
+  if (!last.ok() && IsTransientShardError(last.status().code())) {
+    last = Status::Unavailable(
+        "shard " + std::to_string(shard) + " unavailable after " +
+        std::to_string(attempts) + " attempt(s): " + last.status().ToString());
+  }
+  return last;
+}
 
 /// Builds the aggregate failure Status for a scatter with errors: every
 /// failed shard's index and cause appear in the message ("shard 1:

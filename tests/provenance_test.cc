@@ -7,22 +7,27 @@
 #include "engine/provenance.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "engine/aiql_engine.h"
 #include "graph/cypher_gen.h"
 #include "graph/graph_store.h"
 #include "simulator/scenario.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 namespace {
@@ -44,6 +49,33 @@ EventRecord Rec(AgentId agent, OpType op, Timestamp t, Duration len,
 
 ProcessRef Proc(uint32_t pid, const std::string& exe) {
   return ProcessRef{1, pid, exe, "root"};
+}
+
+/// Canonical graph of a result: (type, name, depth, bound) nodes, (op,
+/// start, end) edge events and the truncation flag.
+using CanonGraph =
+    std::tuple<std::set<std::tuple<EntityType, std::string, int, Timestamp>>,
+               std::multiset<std::tuple<int, Timestamp, Timestamp>>, bool>;
+
+CanonGraph Canon(const ProvenanceResult& result, const EntityStore& entities) {
+  CanonGraph out;
+  for (const ProvenanceNode& node : result.nodes) {
+    std::get<0>(out).emplace(node.type, entities.EntityName(node.type, node.id),
+                             node.depth, node.bound);
+  }
+  for (const ProvenanceEdge& edge : result.edges) {
+    std::get<1>(out).emplace(static_cast<int>(edge.event.op),
+                             edge.event.start_ts, edge.event.end_ts);
+  }
+  std::get<2>(out) = result.stats.truncated;
+  return out;
+}
+
+/// A single store tracks as a one-view shard list.
+std::vector<ReadView> OneView(const AuditDatabase& db) {
+  std::vector<ReadView> views;
+  views.push_back(db.OpenReadView());
+  return views;
 }
 
 /// Recovered (type, display name) set of a result.
@@ -82,7 +114,7 @@ class ProvenanceChainTest : public ::testing::Test {
                                 FileRef{1, "/data/f2"}))
                     .ok());
     ASSERT_TRUE(db_->Seal().ok());
-    view_ = db_->OpenReadView();
+    views_ = OneView(*db_);
     f2_ = Find(EntityType::kFile, "/data/f2");
     f1_ = Find(EntityType::kFile, "/data/f1");
   }
@@ -98,14 +130,14 @@ class ProvenanceChainTest : public ::testing::Test {
   }
 
   std::unique_ptr<AuditDatabase> db_;
-  ReadView view_;
+  std::vector<ReadView> views_;
   EntityId f1_ = 0, f2_ = 0;
 };
 
 TEST_F(ProvenanceChainTest, BackwardFollowsFlowAndPrunesMonotonically) {
   ProvenanceOptions options;
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f2_}}, INT64_MAX,
-                                options);
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
+                                INT64_MAX, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto names = NodeNames(*result, db_->entities());
   std::set<std::pair<EntityType, std::string>> expected = {
@@ -136,8 +168,8 @@ TEST_F(ProvenanceChainTest, ForwardTrackingMirrorsBackward) {
   // f2; decoy's write into f1 is an in-flow and must not appear.
   ProvenanceOptions options;
   options.backward = false;
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f1_}}, INT64_MIN,
-                                options);
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f1_}},
+                                INT64_MIN, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto names = NodeNames(*result, db_->entities());
   std::set<std::pair<EntityType, std::string>> expected = {
@@ -152,7 +184,7 @@ TEST_F(ProvenanceChainTest, ForwardTrackingMirrorsBackward) {
 TEST_F(ProvenanceChainTest, AnchorBoundsTheSearch) {
   // Anchor before reader's write into f2: nothing flows into f2 yet.
   ProvenanceOptions options;
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f2_}},
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
                                 T0() + 150 * kSecond, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->nodes.size(), 1u);  // just the root
@@ -162,8 +194,8 @@ TEST_F(ProvenanceChainTest, AnchorBoundsTheSearch) {
 TEST_F(ProvenanceChainTest, DepthBudgetTruncates) {
   ProvenanceOptions options;
   options.max_depth = 1;
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f2_}}, INT64_MAX,
-                                options);
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
+                                INT64_MAX, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->nodes.size(), 2u);  // f2 + reader
   EXPECT_TRUE(result->stats.truncated);
@@ -173,8 +205,8 @@ TEST_F(ProvenanceChainTest, DepthBudgetTruncates) {
 TEST_F(ProvenanceChainTest, NodeBudgetTruncates) {
   ProvenanceOptions options;
   options.max_nodes = 2;
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f2_}}, INT64_MAX,
-                                options);
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
+                                INT64_MAX, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->nodes.size(), 2u);
   EXPECT_TRUE(result->stats.truncated);
@@ -184,8 +216,8 @@ TEST_F(ProvenanceChainTest, OpAndEntityFiltersRestrictHops) {
   // Excluding reads cuts the chain at reader (f1 unreachable).
   ProvenanceOptions options;
   options.op_mask = static_cast<OpMask>(kAllOps & ~OpBit(OpType::kRead));
-  auto result = TrackProvenance(view_, {{EntityType::kFile, f2_}}, INT64_MAX,
-                                options);
+  auto result = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
+                                INT64_MAX, options);
   ASSERT_TRUE(result.ok());
   auto names = NodeNames(*result, db_->entities());
   EXPECT_EQ(names.count({EntityType::kFile, "/data/f1"}), 0u);
@@ -194,7 +226,7 @@ TEST_F(ProvenanceChainTest, OpAndEntityFiltersRestrictHops) {
   // Excluding file hops stops at the first process.
   ProvenanceOptions no_files;
   no_files.follow_files = false;
-  auto restricted = TrackProvenance(view_, {{EntityType::kFile, f2_}},
+  auto restricted = TrackProvenance(views_, {{0, EntityType::kFile, f2_}},
                                     INT64_MAX, no_files);
   ASSERT_TRUE(restricted.ok());
   auto restricted_names = NodeNames(*restricted, db_->entities());
@@ -206,7 +238,51 @@ TEST_F(ProvenanceChainTest, OpAndEntityFiltersRestrictHops) {
 }
 
 TEST_F(ProvenanceChainTest, EmptyRootsRejected) {
-  EXPECT_FALSE(TrackProvenance(view_, {}, INT64_MAX, {}).ok());
+  EXPECT_FALSE(TrackProvenance(views_, {}, INT64_MAX, {}).ok());
+}
+
+TEST_F(ProvenanceChainTest, UnboundedHopWindowSaturatesInsteadOfOverflowing) {
+  // A client may send any hop_window >= 0 and any anchor. The widest window
+  // admits every gap these events have, so it must reproduce the unbounded
+  // (hop_window = 0) graph — bound +/- window clamps at the timeline ends.
+  struct Case {
+    bool backward;
+    EntityId root;
+    Timestamp anchor;
+  };
+  const Case cases[] = {
+      {false, f1_, INT64_MIN},      // open anchor: hop 2 reaches past MAX
+      {false, f1_, INT64_MIN / 2},  // large negative anchor, windowed hop 1
+      {true, f2_, INT64_MAX},       // open anchor
+      {true, f2_, INT64_MAX / 2},   // late anchor, windowed hop 1
+      {true, f2_, INT64_MIN / 2},   // large negative anchor: nothing admitted
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.backward ? "backward" : "forward") +
+                 " anchor=" + std::to_string(c.anchor));
+    ProvenanceOptions unbounded;
+    unbounded.backward = c.backward;
+    ProvenanceOptions widest = unbounded;
+    widest.hop_window = INT64_MAX;
+    auto expected = TrackProvenance(views_, {{0, EntityType::kFile, c.root}},
+                                    c.anchor, unbounded);
+    auto actual = TrackProvenance(views_, {{0, EntityType::kFile, c.root}},
+                                  c.anchor, widest);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(Canon(*actual, db_->entities()),
+              Canon(*expected, db_->entities()));
+  }
+  // The forward chain from f1 is the whole graph, not a truncated prefix.
+  ProvenanceOptions forward;
+  forward.backward = false;
+  forward.hop_window = INT64_MAX;
+  auto chain = TrackProvenance(views_, {{0, EntityType::kFile, f1_}},
+                               INT64_MIN, forward);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain->nodes.size(), 3u);
+  EXPECT_EQ(chain->edges.size(), 2u);
+  EXPECT_FALSE(chain->stats.truncated);
 }
 
 TEST(ProvenanceFanoutTest, FanoutBudgetKeepsClosestInTime) {
@@ -219,12 +295,12 @@ TEST(ProvenanceFanoutTest, FanoutBudgetKeepsClosestInTime) {
                     .ok());
   }
   ASSERT_TRUE(db.Seal().ok());
-  ReadView view = db.OpenReadView();
+  std::vector<ReadView> views = OneView(db);
   EntityId hot = 0;  // only file interned
   ProvenanceOptions options;
   options.max_fanout = 3;
   auto result =
-      TrackProvenance(view, {{EntityType::kFile, hot}}, INT64_MAX, options);
+      TrackProvenance(views, {{0, EntityType::kFile, hot}}, INT64_MAX, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.truncated);
   auto names = NodeNames(*result, db.entities());
@@ -250,7 +326,7 @@ TEST(ProvenanceHopWindowTest, HopWindowBoundsTemporalGap) {
                             FileRef{1, "/out"}))
                   .ok());
   ASSERT_TRUE(db.Seal().ok());
-  ReadView view = db.OpenReadView();
+  std::vector<ReadView> views = OneView(db);
   const EntityStore& es = db.entities();
   EntityId out_file = kInvalidEntityId;
   for (EntityId id = 0; id < es.NumEntities(EntityType::kFile); ++id) {
@@ -260,7 +336,7 @@ TEST(ProvenanceHopWindowTest, HopWindowBoundsTemporalGap) {
 
   ProvenanceOptions narrow;
   narrow.hop_window = 5 * kMinute;
-  auto clipped = TrackProvenance(view, {{EntityType::kFile, out_file}},
+  auto clipped = TrackProvenance(views, {{0, EntityType::kFile, out_file}},
                                  INT64_MAX, narrow);
   ASSERT_TRUE(clipped.ok());
   auto clipped_names = NodeNames(*clipped, es);
@@ -269,7 +345,7 @@ TEST(ProvenanceHopWindowTest, HopWindowBoundsTemporalGap) {
 
   ProvenanceOptions wide;
   wide.hop_window = 2 * kHour;
-  auto full = TrackProvenance(view, {{EntityType::kFile, out_file}},
+  auto full = TrackProvenance(views, {{0, EntityType::kFile, out_file}},
                               INT64_MAX, wide);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(NodeNames(*full, es).count({EntityType::kProcess, "old-writer"}),
@@ -304,7 +380,7 @@ TEST(ProvenanceWideningTest, ReReachedNodeWidensBoundAndReExpands) {
       db.Append(Rec(1, OpType::kWrite, T0() + 95 * kSecond, kSecond, y, c))
           .ok());
   ASSERT_TRUE(db.Seal().ok());
-  ReadView view = db.OpenReadView();
+  std::vector<ReadView> views = OneView(db);
   EntityId poi = kInvalidEntityId;
   const EntityStore& es = db.entities();
   for (EntityId id = 0; id < es.NumEntities(EntityType::kFile); ++id) {
@@ -313,7 +389,7 @@ TEST(ProvenanceWideningTest, ReReachedNodeWidensBoundAndReExpands) {
   ASSERT_NE(poi, kInvalidEntityId);
 
   auto result =
-      TrackProvenance(view, {{EntityType::kFile, poi}}, INT64_MAX, {});
+      TrackProvenance(views, {{0, EntityType::kFile, poi}}, INT64_MAX, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto names = NodeNames(*result, es);
   std::set<std::pair<EntityType, std::string>> expected = {
@@ -335,6 +411,71 @@ TEST(ProvenanceWideningTest, ReReachedNodeWidensBoundAndReExpands) {
       EXPECT_EQ(node.bound, T0() + 92 * kSecond);
     }
   }
+}
+
+// --- single-store error contract ---------------------------------------------
+
+TEST(ProvenanceTieredTest, SingleStoreStorageErrorFailsOnceWithItsOwnCode) {
+  // A fully demoted single tiered store that keeps nothing resident, so
+  // every hop reopens its partitions from disk through `retention.reopen`.
+  Failpoint::ClearAll();
+  std::string dir = "/tmp/aiql_provenance_tiered_" +
+                    std::to_string(static_cast<long>(getpid()));
+  RetentionOptions retention;
+  retention.dir = dir;
+  retention.hot_buckets = -1;
+  retention.compact_min_partitions = 0;
+  retention.memory_budget_bytes = 1;
+  auto created = TieredStore::Create(StorageOptions{}, retention);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<TieredStore> store = std::move(*created);
+  std::vector<EventRecord> records;
+  for (int i = 0; i < 6; ++i) {
+    // One write per hour: writer_i -> /data/log, then reader consumes it.
+    records.push_back(Rec(1, OpType::kWrite, T0() + i * kHour, kSecond,
+                          Proc(700 + i, "writer" + std::to_string(i)),
+                          FileRef{1, "/data/log"}));
+  }
+  records.push_back(Rec(1, OpType::kRead, T0() + 6 * kHour, kSecond,
+                        Proc(800, "reader"), FileRef{1, "/data/log"}));
+  records.push_back(Rec(1, OpType::kWrite, T0() + 6 * kHour + kMinute,
+                        kSecond, Proc(800, "reader"), FileRef{1, "/data/out"}));
+  ASSERT_TRUE(store->AppendBatch(std::move(records)).ok());
+  ASSERT_TRUE(store->Seal().ok());
+  ASSERT_TRUE(store->CompactOnce().ok());
+  ASSERT_EQ(store->stats().hot_partitions, 0u);
+
+  {
+    AiqlEngine engine(store.get());
+    TrackRequest request;
+    request.type = EntityType::kFile;
+    request.name_like = "/data/out";
+    auto clean = engine.Track(request);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(clean->nodes.size(), 9u);  // out, reader, log, 6 writers
+    EXPECT_FALSE(clean->stats.truncated);
+
+    // No retry and no kUnavailable wrapping: the reopen fault surfaces
+    // once, with its own code, and nothing is dropped.
+    ASSERT_TRUE(Failpoint::Configure("retention.reopen=error(IOError)").ok());
+    auto failed = engine.Track(request);
+    EXPECT_EQ(Failpoint::HitCount("retention.reopen"), 1u);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+
+    Failpoint::ClearAll();
+    auto recovered = engine.Track(request);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(Canon(*recovered, store->db().entities()),
+              Canon(*clean, store->db().entities()));
+  }
+  store.reset();
+  std::remove((dir + "/DATA").c_str());
+  for (uint64_t seq = 0; seq <= 64; ++seq) {
+    std::remove((dir + "/FOOTER." + std::to_string(seq)).c_str());
+  }
+  std::remove((dir + "/FOOTER.tmp").c_str());
+  rmdir(dir.c_str());
 }
 
 // --- reverse index vs brute force -------------------------------------------
