@@ -207,22 +207,17 @@ uint64_t EventPartition::OpCountInRange(OpMask mask,
 }
 
 size_t EventPartition::MemoryFootprint() const {
-  size_t bytes = events_.capacity() * sizeof(Event);
-  bytes += columns_.start_ts.capacity() * sizeof(Timestamp);
-  bytes += columns_.end_ts.capacity() * sizeof(Timestamp);
-  bytes += columns_.subject.capacity() * sizeof(EntityId);
-  bytes += columns_.object.capacity() * sizeof(EntityId);
-  bytes += columns_.agent_id.capacity() * sizeof(AgentId);
-  bytes += columns_.amount.capacity() * sizeof(uint64_t);
-  bytes += columns_.op.capacity() * sizeof(OpType);
-  bytes += columns_.object_type.capacity() * sizeof(EntityType);
+  size_t bytes = events_.size() * sizeof(Event);
+  bytes += columns_.size() *
+           (sizeof(Timestamp) * 2 + sizeof(EntityId) * 2 + sizeof(AgentId) +
+            sizeof(uint64_t) + sizeof(OpType) + sizeof(EntityType));
   for (const OpPostingList& list : op_postings_) {
-    bytes += list.indexes.capacity() * sizeof(uint32_t);
+    bytes += list.indexes.size() * sizeof(uint32_t);
   }
   for (const EntityPostingIndex* index : {&subject_index_, &object_index_}) {
-    bytes += index->keys.capacity() * sizeof(uint64_t);
-    bytes += index->offsets.capacity() * sizeof(uint32_t);
-    bytes += index->indexes.capacity() * sizeof(uint32_t);
+    bytes += index->keys.size() * sizeof(uint64_t);
+    bytes += index->offsets.size() * sizeof(uint32_t);
+    bytes += index->indexes.size() * sizeof(uint32_t);
   }
   // Hash maps: approximate per-entry overhead (node + bucket pointer).
   bytes += subject_exe_counts_.size() * (sizeof(StringId) + sizeof(uint64_t) +
@@ -251,39 +246,18 @@ size_t EventPartition::LowerBound(Timestamp t) const {
   return static_cast<size_t>(it - events_.begin());
 }
 
-void EventPartition::RestoreSealed(
-    std::vector<Event> events, std::array<OpPostingList, kNumOpTypes> postings,
-    EntityPostingIndex subject_index, EntityPostingIndex object_index,
-    std::unordered_map<StringId, uint64_t> subject_exe_counts,
-    uint64_t raw_count) {
-  events_ = std::move(events);
-  op_postings_ = std::move(postings);
-  subject_index_ = std::move(subject_index);
-  object_index_ = std::move(object_index);
-  subject_exe_counts_ = std::move(subject_exe_counts);
-  raw_count_ = raw_count;
-
-  columns_.Clear();
-  columns_.Reserve(events_.size());
-  min_ts_ = INT64_MAX;
-  max_ts_ = INT64_MIN;
-  for (const Event& event : events_) {
-    columns_.PushBack(event);
-    if (event.start_ts < min_ts_) min_ts_ = event.start_ts;
-    if (event.end_ts > max_ts_) max_ts_ = event.end_ts;
-  }
+void EventPartition::RestoreSealed(SealedPartitionParts parts) {
+  events_ = std::move(parts.events);
+  columns_ = std::move(parts.columns);
+  op_postings_ = std::move(parts.postings);
+  subject_index_ = std::move(parts.subject_index);
+  object_index_ = std::move(parts.object_index);
+  subject_exe_counts_ = std::move(parts.subject_exe_counts);
+  min_ts_ = parts.min_ts;
+  max_ts_ = parts.max_ts;
+  raw_count_ = parts.raw_count;
   for (size_t op = 0; op < op_postings_.size(); ++op) {
-    OpPostingList& list = op_postings_[op];
-    op_counts_[op] = list.indexes.size();
-    // Posting indexes ascend in event-index (= start_ts) order, so the zone
-    // map is just the first and last referenced start.
-    if (!list.indexes.empty()) {
-      list.min_start_ts = columns_.start_ts[list.indexes.front()];
-      list.max_start_ts = columns_.start_ts[list.indexes.back()];
-    } else {
-      list.min_start_ts = INT64_MAX;
-      list.max_start_ts = INT64_MIN;
-    }
+    op_counts_[op] = op_postings_[op].indexes.size();
   }
   merge_tail_.clear();
   seal_state_.store(kSealed, std::memory_order_release);

@@ -14,7 +14,8 @@
 //     and by (object type, object id)) so provenance tracking can expand a
 //     frontier entity without scanning the partition.
 // The row `events()` API stays authoritative for snapshot/graph/SQL
-// callers; columns and postings are derived and rebuilt on every Seal().
+// callers; columns and postings are derived and rebuilt on every Seal(),
+// and adopted as persisted when a snapshot segment is decoded.
 
 #ifndef AIQL_STORAGE_PARTITION_H_
 #define AIQL_STORAGE_PARTITION_H_
@@ -94,6 +95,20 @@ struct OpPostingList {
 
   bool empty() const { return indexes.empty(); }
   size_t size() const { return indexes.size(); }
+};
+
+/// Everything a sealed partition holds, in the form a snapshot v2 segment
+/// decodes to. Op counts are the posting-list sizes.
+struct SealedPartitionParts {
+  std::vector<Event> events;
+  EventColumns columns;
+  std::array<OpPostingList, kNumOpTypes> postings;  ///< zone maps filled
+  EntityPostingIndex subject_index;
+  EntityPostingIndex object_index;
+  std::unordered_map<StringId, uint64_t> subject_exe_counts;
+  Timestamp min_ts = INT64_MAX;
+  Timestamp max_ts = INT64_MIN;
+  uint64_t raw_count = 0;
 };
 
 /// One partition's events and statistics.
@@ -195,9 +210,12 @@ class EventPartition {
   /// Raw (pre-dedup) events represented, i.e. sum of merge counts.
   uint64_t raw_event_count() const { return raw_count_; }
 
-  /// Heap bytes held by this partition's rows, columns, posting lists and
-  /// reverse indexes. This is what a PartitionCache charges against its
-  /// byte budget when the partition is materialized from cold storage.
+  /// Bytes of this partition's rows, columns, posting lists and reverse
+  /// indexes, counted per element (allocator slack left by ingest-time
+  /// growth is not counted), so a partition decoded from a snapshot segment
+  /// reports exactly what its hot copy did. This is what a PartitionCache
+  /// charges against its byte budget when the partition is materialized
+  /// from cold storage.
   size_t MemoryFootprint() const;
 
   /// Internal mutable access used by snapshot loading.
@@ -205,21 +223,14 @@ class EventPartition {
   /// Recomputes statistics from `events_` (after snapshot load).
   void RebuildStats(const std::vector<ProcessEntity>& processes);
 
-  /// Snapshot-v2 load hook: installs a fully sealed partition wholesale —
-  /// sorted events, posting lists, the reverse entity indexes, and
-  /// statistics are adopted as persisted, so loading performs no sort and no
-  /// index rebuild (the columnar view is re-derived in one linear pass).
-  /// Precondition: the partition is empty, `events` is sorted by (start_ts,
-  /// end_ts), `postings` partitions the event indexes by operation, and
-  /// `subject_index` / `object_index` cover every event exactly once (the
-  /// snapshot reader validates all of these before calling). Zone maps are
-  /// derived from the postings.
-  void RestoreSealed(std::vector<Event> events,
-                     std::array<OpPostingList, kNumOpTypes> postings,
-                     EntityPostingIndex subject_index,
-                     EntityPostingIndex object_index,
-                     std::unordered_map<StringId, uint64_t> subject_exe_counts,
-                     uint64_t raw_count);
+  /// Snapshot-v2 load hook: installs a fully sealed partition wholesale.
+  /// Rows, columns, posting lists with their zone maps, reverse entity
+  /// indexes, statistics and time bounds are all adopted exactly as the
+  /// segment decoder produced them — no sort, no index rebuild, no pass over
+  /// the events. Precondition: the partition is empty and `parts` satisfies
+  /// every seal invariant (the snapshot decoder validates all of them before
+  /// calling).
+  void RestoreSealed(SealedPartitionParts parts);
 
  private:
   struct MergeKey {

@@ -174,8 +174,18 @@ Result<std::unique_ptr<SnapshotAppender>> SnapshotAppender::Open(
       std::fclose(data);
       return Status::IOError("cannot read '" + appender->data_path_ + "'");
     }
-    valid_header = GetFixed64(header) == kV2Magic &&
-                   GetFixed32(header + 8) == kV2Version;
+    const bool v2_magic = GetFixed64(header) == kV2Magic;
+    const uint32_t version = GetFixed32(header + 8);
+    if (v2_magic && version != kV2Version && !footer_seqs.empty()) {
+      // Committed data of another format version: refuse it untouched
+      // rather than reinitializing over it.
+      std::fclose(data);
+      return Status::Corruption(
+          "'" + appender->data_path_ + "' has snapshot format version " +
+          std::to_string(version) + ", expected version " +
+          std::to_string(kV2Version));
+    }
+    valid_header = v2_magic && version == kV2Version;
   }
   if (!valid_header) {
     // Fresh directory, or a crash before the first header write completed.

@@ -1,8 +1,8 @@
 #include "storage/snapshot_format.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "common/varint.h"
@@ -44,11 +44,11 @@ uint64_t GetFixed64(const char* p) {
 
 // --- cursor ------------------------------------------------------------------
 
-uint64_t Cursor::U64() {
+uint64_t Cursor::U64Slow() {
   uint64_t v = 0;
   const char* next = ok_ ? GetVarint64(p_, limit_, &v) : nullptr;
   if (next == nullptr) {
-    ok_ = false;
+    Fail();
     return 0;
   }
   p_ = next;
@@ -62,7 +62,7 @@ int64_t Cursor::I64() {
 
 uint8_t Cursor::Byte() {
   if (!ok_ || p_ >= limit_) {
-    ok_ = false;
+    Fail();
     return 0;
   }
   return static_cast<uint8_t>(*p_++);
@@ -70,7 +70,7 @@ uint8_t Cursor::Byte() {
 
 std::string_view Cursor::Bytes(size_t n) {
   if (!ok_ || static_cast<size_t>(limit_ - p_) < n) {
-    ok_ = false;
+    Fail();
     return {};
   }
   std::string_view out(p_, n);
@@ -344,56 +344,71 @@ Result<std::vector<std::string>> DecodeDictionary(Cursor* cur) {
   return out;
 }
 
-/// Decodes one reverse entity index and revalidates its invariants against
-/// the already-decoded events: keys strictly ascending, every group
-/// non-empty with strictly ascending event indexes, every event covered
-/// exactly once, and every listed event actually carrying the group's key.
-/// `key_of` maps an event to its expected key (subject or object form).
+/// Decodes one reverse entity index of an `n`-event partition and checks
+/// it against the decoded columns: keys strictly ascending, every group
+/// non-empty with strictly ascending event indexes, every listed event
+/// carrying the group's key (`key_of(event index)`), and the groups totalling
+/// `n`. An event has exactly one key, so no event can sit in two groups:
+/// together these checks mean every event is listed exactly once.
 template <typename KeyOf>
-Status DecodeEntityIndex(Cursor* cur, const std::vector<Event>& events,
-                         const KeyOf& key_of, const char* what,
-                         EntityPostingIndex* index) {
-  const size_t n = events.size();
+Status DecodeEntityIndex(Cursor* cur, size_t n, const KeyOf& key_of,
+                         const char* what, EntityPostingIndex* index) {
   auto corrupt = [&] {
     return Status::Corruption(std::string("partition ") + what +
                               " index corrupt");
   };
   uint64_t num_keys = cur->U64();
   if (!cur->ok() || num_keys > n) return corrupt();
-  index->keys.reserve(static_cast<size_t>(num_keys));
-  index->offsets.reserve(static_cast<size_t>(num_keys) + 1);
-  index->indexes.reserve(n);
-  std::vector<uint8_t> seen(n, 0);
+  index->keys.resize(static_cast<size_t>(num_keys));
+  index->offsets.resize(static_cast<size_t>(num_keys) + 1);
+  index->indexes.resize(n);
+  uint32_t* out = index->indexes.data();
   uint64_t key = 0;
-  uint64_t total = 0;
-  for (uint64_t k = 0; k < num_keys; ++k) {
+  size_t total = 0;
+  for (size_t k = 0; k < num_keys; ++k) {
     uint64_t delta = cur->U64();
-    if (!cur->ok() || (k > 0 && delta == 0)) return corrupt();
-    key = k == 0 ? delta : key + delta;
+    if (k > 0 && (delta == 0 || delta > UINT64_MAX - key)) return corrupt();
+    key += delta;
     uint64_t count = cur->U64();
-    if (!cur->ok() || count == 0 || count > n - total) return corrupt();
-    index->keys.push_back(key);
-    index->offsets.push_back(static_cast<uint32_t>(total));
-    uint64_t event_index = 0;
-    for (uint64_t i = 0; i < count; ++i) {
+    if (count == 0 || count > n - total) return corrupt();
+    index->keys[k] = key;
+    index->offsets[k] = static_cast<uint32_t>(total);
+    uint64_t event = cur->U64();
+    if (event >= n || key_of(event) != key) return corrupt();
+    out[total] = static_cast<uint32_t>(event);
+    for (uint64_t i = 1; i < count; ++i) {
       uint64_t d = cur->U64();
-      if (!cur->ok() || (i > 0 && d == 0)) return corrupt();
-      event_index = i == 0 ? d : event_index + d;
-      if (event_index >= n || seen[event_index] != 0 ||
-          key_of(events[event_index]) != key) {
-        return corrupt();
-      }
-      seen[event_index] = 1;
-      index->indexes.push_back(static_cast<uint32_t>(event_index));
+      if (d == 0 || d >= n - event) return corrupt();
+      event += d;
+      if (key_of(event) != key) return corrupt();
+      out[total + i] = static_cast<uint32_t>(event);
     }
-    total += count;
+    total += static_cast<size_t>(count);
   }
-  index->offsets.push_back(static_cast<uint32_t>(total));
+  if (!cur->ok()) return corrupt();
+  index->offsets[num_keys] = static_cast<uint32_t>(total);
   if (total != n) {
     return Status::Corruption(std::string("partition ") + what +
                               " index does not cover every event");
   }
   return Status::OK();
+}
+
+/// Decodes a run-length column ((value, run) pairs covering `n` rows) into
+/// `column`. `read_value` returns false for an out-of-domain value.
+template <typename T, typename ReadValue>
+bool DecodeRuns(Cursor* cur, size_t n, const ReadValue& read_value,
+                std::vector<T>* column) {
+  column->resize(n);
+  for (size_t covered = 0; covered < n;) {
+    T value{};
+    bool valid = read_value(&value);
+    uint64_t run = cur->U64();
+    if (!cur->ok() || !valid || run == 0 || run > n - covered) return false;
+    std::fill_n(column->begin() + covered, run, value);
+    covered += static_cast<size_t>(run);
+  }
+  return true;
 }
 
 }  // namespace
@@ -537,68 +552,84 @@ Status DecodePartitionSegment(std::string_view bytes,
                               const PartitionDirEntry& entry,
                               const EntityStore& store,
                               EventPartition* partition) {
+  // One pass over the segment in its stored order, straight into the
+  // columns. Wrapped or out-of-domain values are caught by the row pass at
+  // the end, which checks every event once.
   Cursor cur(bytes);
   uint64_t n64 = cur.U64();
   if (!cur.ok() || n64 != entry.events || n64 > bytes.size()) {
     return Status::Corruption("partition segment event count mismatch");
   }
   const size_t n = static_cast<size_t>(n64);
+  SealedPartitionParts parts;
+  EventColumns& cols = parts.columns;
 
-  std::vector<Event> events(n);
-  uint64_t prev_start = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t start =
-        i == 0 ? static_cast<uint64_t>(cur.I64()) : prev_start + cur.U64();
-    events[i].start_ts = static_cast<Timestamp>(start);
-    prev_start = start;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    events[i].end_ts = static_cast<Timestamp>(
-        static_cast<uint64_t>(events[i].start_ts) + cur.U64());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    events[i].subject = static_cast<EntityId>(cur.U64());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    events[i].object = static_cast<EntityId>(cur.U64());
-  }
-  for (size_t covered = 0; covered < n;) {
-    uint64_t agent = cur.U64();
-    uint64_t run = cur.U64();
-    if (!cur.ok() || agent > UINT32_MAX || run == 0 || run > n - covered) {
-      return Status::Corruption("partition agent column corrupt");
+  cols.start_ts.resize(n);
+  if (n > 0) {
+    uint64_t start = static_cast<uint64_t>(cur.I64());
+    cols.start_ts[0] = static_cast<Timestamp>(start);
+    for (size_t i = 1; i < n; ++i) {
+      start += cur.U64();
+      cols.start_ts[i] = static_cast<Timestamp>(start);
     }
-    for (uint64_t i = 0; i < run; ++i) {
-      events[covered + i].agent_id = static_cast<AgentId>(agent);
-    }
-    covered += static_cast<size_t>(run);
   }
-  for (size_t i = 0; i < n; ++i) events[i].amount = cur.U64();
+  cols.end_ts.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    cols.end_ts[i] = static_cast<Timestamp>(
+        static_cast<uint64_t>(cols.start_ts[i]) + cur.U64());
+  }
+  // Entity ids are 32-bit; OR-ing the raw values exposes any wider one.
+  uint64_t id_bits = 0;
+  cols.subject.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t id = cur.U64();
+    id_bits |= id;
+    cols.subject[i] = static_cast<EntityId>(id);
+  }
+  cols.object.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t id = cur.U64();
+    id_bits |= id;
+    cols.object[i] = static_cast<EntityId>(id);
+  }
+  if (id_bits > UINT32_MAX) {
+    return Status::Corruption("partition references unknown entities");
+  }
+  bool agents_ok = DecodeRuns(&cur, n,
+                              [&](AgentId* agent) {
+                                uint64_t v = cur.U64();
+                                *agent = static_cast<AgentId>(v);
+                                return v <= UINT32_MAX;
+                              },
+                              &cols.agent_id);
+  if (!agents_ok) return Status::Corruption("partition agent column corrupt");
+  cols.amount.resize(n);
+  for (size_t i = 0; i < n; ++i) cols.amount[i] = cur.U64();
+  std::vector<uint32_t> merge_counts(n);
   for (size_t i = 0; i < n; ++i) {
     uint64_t merge_count = cur.U64();
-    if (!cur.ok() || merge_count == 0 || merge_count > UINT32_MAX) {
+    if (merge_count == 0 || merge_count > UINT32_MAX) {
       return Status::Corruption("partition merge counts corrupt");
     }
-    events[i].merge_count = static_cast<uint32_t>(merge_count);
+    merge_counts[i] = static_cast<uint32_t>(merge_count);
   }
-  for (size_t covered = 0; covered < n;) {
-    uint8_t type = cur.Byte();
-    uint64_t run = cur.U64();
-    if (!cur.ok() || type >= kNumEntityTypes || run == 0 ||
-        run > n - covered) {
-      return Status::Corruption("partition object-type column corrupt");
-    }
-    for (uint64_t i = 0; i < run; ++i) {
-      events[covered + i].object_type = static_cast<EntityType>(type);
-    }
-    covered += static_cast<size_t>(run);
+  bool types_ok = DecodeRuns(&cur, n,
+                             [&](EntityType* type) {
+                               uint8_t v = cur.Byte();
+                               *type = static_cast<EntityType>(v);
+                               return v < kNumEntityTypes;
+                             },
+                             &cols.object_type);
+  if (!types_ok) {
+    return Status::Corruption("partition object-type column corrupt");
   }
   if (!cur.ok()) return Status::Corruption("partition segment truncated");
 
-  // Posting lists: must jointly cover every event index exactly once; they
-  // also reconstruct the op column.
-  std::array<OpPostingList, kNumOpTypes> postings;
-  std::vector<uint8_t> op_of(n, 0xFF);
+  // Posting lists: strictly ascending, and jointly covering every event
+  // index exactly once. They scatter the op column; zone maps are the
+  // first and last referenced start.
+  constexpr OpType kNoOp = static_cast<OpType>(0xFF);
+  cols.op.assign(n, kNoOp);
   uint64_t total_postings = 0;
   for (int op = 0; op < kNumOpTypes; ++op) {
     uint64_t count = cur.U64();
@@ -606,90 +637,123 @@ Status DecodePartitionSegment(std::string_view bytes,
         count > n - total_postings) {
       return Status::Corruption("partition posting lists corrupt");
     }
-    OpPostingList& list = postings[op];
-    list.indexes.reserve(static_cast<size_t>(count));
+    OpPostingList& list = parts.postings[op];
+    list.indexes.resize(static_cast<size_t>(count));
+    // The first delta is the first index itself. A zero delta later on
+    // repeats an index, which the taken-slot check refuses.
     uint64_t index = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      index = i == 0 ? cur.U64() : index + cur.U64();
-      if (!cur.ok() || index >= n || op_of[index] != 0xFF) {
+    for (size_t i = 0; i < count; ++i) {
+      uint64_t d = cur.U64();
+      if (d >= n - index) {
         return Status::Corruption("partition posting lists corrupt");
       }
-      op_of[index] = static_cast<uint8_t>(op);
-      list.indexes.push_back(static_cast<uint32_t>(index));
+      index += d;
+      if (cols.op[index] != kNoOp) {
+        return Status::Corruption("partition posting lists corrupt");
+      }
+      cols.op[index] = static_cast<OpType>(op);
+      list.indexes[i] = static_cast<uint32_t>(index);
+    }
+    if (count > 0) {
+      list.min_start_ts = cols.start_ts[list.indexes.front()];
+      list.max_start_ts = cols.start_ts[list.indexes.back()];
     }
     total_postings += count;
   }
+  if (!cur.ok()) return Status::Corruption("partition posting lists corrupt");
   if (total_postings != n) {
     return Status::Corruption("partition posting lists do not cover events");
   }
-  for (size_t i = 0; i < n; ++i) {
-    events[i].op = static_cast<OpType>(op_of[i]);
-  }
 
-  std::unordered_map<StringId, uint64_t> exe_counts;
+  // Subject-exe statistics: strictly ascending known exe ids, each counting
+  // at least one event and together no more than the partition holds.
   uint64_t num_exe = cur.U64();
   if (!cur.ok() || num_exe > cur.remaining()) {
     return Status::Corruption("partition statistics truncated");
   }
+  if (num_exe > n) return Status::Corruption("partition statistics corrupt");
+  parts.subject_exe_counts.reserve(static_cast<size_t>(num_exe));
+  uint64_t prev_exe = 0;
+  uint64_t exe_events = 0;
   for (uint64_t i = 0; i < num_exe; ++i) {
     uint64_t exe = cur.U64();
     uint64_t count = cur.U64();
-    if (!cur.ok() || exe >= store.exe_names().size()) {
+    if (!cur.ok() || exe >= store.exe_names().size() ||
+        (i > 0 && exe <= prev_exe) || count == 0 || count > n - exe_events) {
       return Status::Corruption("partition statistics corrupt");
     }
-    exe_counts[static_cast<StringId>(exe)] = count;
+    parts.subject_exe_counts.emplace(static_cast<StringId>(exe), count);
+    prev_exe = exe;
+    exe_events += count;
   }
 
-  EntityPostingIndex subject_index;
-  EntityPostingIndex object_index;
   AIQL_RETURN_IF_ERROR(DecodeEntityIndex(
-      &cur, events,
-      [](const Event& e) { return static_cast<uint64_t>(e.subject); },
-      "subject", &subject_index));
+      &cur, n,
+      [&](uint64_t i) { return static_cast<uint64_t>(cols.subject[i]); },
+      "subject", &parts.subject_index));
   AIQL_RETURN_IF_ERROR(DecodeEntityIndex(
-      &cur, events,
-      [](const Event& e) {
-        return EventPartition::ObjectKey(e.object_type, e.object);
+      &cur, n,
+      [&](uint64_t i) {
+        return EventPartition::ObjectKey(cols.object_type[i], cols.object[i]);
       },
-      "object", &object_index));
+      "object", &parts.object_index));
   if (!cur.AtEnd()) {
     return Status::Corruption("partition segment has trailing bytes");
   }
 
-  // Cross-validate decoded events against the footer directory and the
-  // engine's seal invariants.
-  Timestamp min_ts = INT64_MAX;
+  // Row pass: builds the Event rows and checks each event once — interval,
+  // (start, end) order, entity-id bounds — while accumulating the bounds
+  // and raw count the footer directory must agree with.
+  const size_t num_processes = store.processes().size();
+  std::array<size_t, kNumEntityTypes> num_objects;
+  for (int t = 0; t < kNumEntityTypes; ++t) {
+    num_objects[t] = store.NumEntities(static_cast<EntityType>(t));
+  }
+  parts.events.resize(n);
   Timestamp max_ts = INT64_MIN;
   uint64_t raw = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Event& e = events[i];
-    if (e.end_ts < e.start_ts) {
+    const Timestamp start = cols.start_ts[i];
+    const Timestamp end = cols.end_ts[i];
+    if (end < start) {
       return Status::Corruption("partition event interval corrupt");
     }
-    if (i > 0 && (e.start_ts < events[i - 1].start_ts ||
-                  (e.start_ts == events[i - 1].start_ts &&
-                   e.end_ts < events[i - 1].end_ts))) {
+    if (i > 0 && (start < cols.start_ts[i - 1] ||
+                  (start == cols.start_ts[i - 1] &&
+                   end < cols.end_ts[i - 1]))) {
       return Status::Corruption("partition events out of order");
     }
-    if (e.subject >= store.processes().size() ||
-        e.object >= store.NumEntities(e.object_type)) {
+    const EntityType object_type = cols.object_type[i];
+    if (cols.subject[i] >= num_processes ||
+        cols.object[i] >= num_objects[static_cast<size_t>(object_type)]) {
       return Status::Corruption("partition references unknown entities");
     }
-    min_ts = std::min(min_ts, e.start_ts);
-    max_ts = std::max(max_ts, e.end_ts);
-    raw += e.merge_count;
+    max_ts = std::max(max_ts, end);
+    raw += merge_counts[i];
+    parts.events[i] = Event{.start_ts = start,
+                            .end_ts = end,
+                            .amount = cols.amount[i],
+                            .subject = cols.subject[i],
+                            .object = cols.object[i],
+                            .agent_id = cols.agent_id[i],
+                            .merge_count = merge_counts[i],
+                            .op = cols.op[i],
+                            .object_type = object_type};
   }
-  if (n > 0 && (min_ts != entry.min_ts || max_ts != entry.max_ts)) {
-    return Status::Corruption("partition time bounds disagree with footer");
+  if (n > 0) {
+    parts.min_ts = cols.start_ts[0];
+    parts.max_ts = max_ts;
+    if (parts.min_ts != entry.min_ts || parts.max_ts != entry.max_ts) {
+      return Status::Corruption("partition time bounds disagree with footer");
+    }
   }
   if (raw != entry.raw_events) {
     return Status::Corruption("partition raw-event count disagrees with "
                               "footer");
   }
+  parts.raw_count = raw;
 
-  partition->RestoreSealed(std::move(events), std::move(postings),
-                           std::move(subject_index), std::move(object_index),
-                           std::move(exe_counts), entry.raw_events);
+  partition->RestoreSealed(std::move(parts));
   return Status::OK();
 }
 

@@ -15,8 +15,10 @@
 #define AIQL_STORAGE_SNAPSHOT_FORMAT_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,8 +34,10 @@ namespace snapfmt {
 inline constexpr uint64_t kV2Magic = 0x4149514C534E5032ULL;  // "AIQLSNP2"
 // Version 3 added the reverse entity indexes (subject / object posting
 // lists) to the partition segments, so provenance hops served from a lazy
-// snapshot need no index rebuild.
-inline constexpr uint32_t kV2Version = 3;
+// snapshot need no index rebuild. Version 4 switched every section
+// checksum from FNV-1a64 to XXH64; readers refuse any other version, so an
+// older file is reported, never misread.
+inline constexpr uint32_t kV2Version = 4;
 inline constexpr size_t kV2HeaderSize = 8 + 4;   // magic + version
 inline constexpr size_t kV2TrailerSize = 8 * 3;  // footer off + cksum + magic
 
@@ -47,13 +51,44 @@ uint64_t GetFixed64(const char* p);
 // --- bounds-checked decode cursor -------------------------------------------
 
 /// Cursor over one checksummed byte section. Every accessor fails sticky on
-/// truncation, so decode loops can check ok() once at the end.
+/// truncation (returning 0), so decode loops can check ok() once at the end.
+/// A failure also parks the read position at the limit, which keeps the
+/// inline word-at-a-time varint path from succeeding after it.
 class Cursor {
  public:
   explicit Cursor(std::string_view bytes)
       : p_(bytes.data()), limit_(bytes.data() + bytes.size()) {}
 
-  uint64_t U64();
+  /// Unsigned varint; accepts exactly what GetVarint64 accepts. One-byte
+  /// values take a single predictable branch. Otherwise, with eight bytes
+  /// in reach, a varint of up to eight bytes decodes from one word load:
+  /// the first clear high bit marks its end, and three mask-and-shift steps
+  /// squeeze out the continuation bits, with no per-byte branch.
+  uint64_t U64() {
+    if (p_ < limit_ && static_cast<uint8_t>(*p_) < 0x80) {
+      return static_cast<uint8_t>(*p_++);
+    }
+    if (limit_ - p_ >= 8) {
+      uint64_t word;
+      std::memcpy(&word, p_, sizeof(word));
+      if constexpr (std::endian::native == std::endian::big) {
+        word = __builtin_bswap64(word);
+      }
+      const uint64_t stops = ~word & 0x8080808080808080ULL;
+      if (stops != 0) {
+        const int bits = std::countr_zero(stops) + 1;  // 8 x varint length
+        p_ += bits >> 3;
+        word &= ~uint64_t{0} >> (64 - bits);
+        word = (word & 0x007F007F007F007FULL) |
+               ((word & 0x7F007F007F007F00ULL) >> 1);
+        word = (word & 0x00003FFF00003FFFULL) |
+               ((word & 0x3FFF00003FFF0000ULL) >> 2);
+        return (word & 0x000000000FFFFFFFULL) |
+               ((word & 0x0FFFFFFF00000000ULL) >> 4);
+      }
+    }
+    return U64Slow();
+  }
   int64_t I64();
   uint8_t Byte();
   /// A `n`-byte string view into the section (valid while it stays alive).
@@ -64,6 +99,12 @@ class Cursor {
   size_t remaining() const { return static_cast<size_t>(limit_ - p_); }
 
  private:
+  uint64_t U64Slow();
+  void Fail() {
+    ok_ = false;
+    p_ = limit_;
+  }
+
   const char* p_;
   const char* limit_;
   bool ok_ = true;

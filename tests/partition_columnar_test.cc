@@ -133,9 +133,9 @@ TEST(ColumnarSealTest, SealArtifactsSurviveSnapshotRoundTrip) {
   // MixedDatabase appends in random time order, so bucket rotation splits
   // (bucket, agent) pairs into rollover partitions; the v2 snapshot format
   // round-trips each physical partition 1:1 (that is what makes lazy
-  // per-partition loading possible). Compare content partition by
-  // partition, then check the loaded partitions' restored columns and
-  // postings against their own rows.
+  // per-partition loading possible). Every decoded artifact must equal the
+  // hot partition's, and so must the memory footprint the partition cache
+  // charges for it.
   AuditDatabase db = MixedDatabase();
   std::string path = "/tmp/aiql_columnar_roundtrip_test.snap";
   ASSERT_TRUE(SaveSnapshot(db, path).ok());
@@ -145,38 +145,55 @@ TEST(ColumnarSealTest, SealArtifactsSurviveSnapshotRoundTrip) {
   EXPECT_EQ(loaded->stats().total_events, db.stats().total_events);
 
   auto event_key = [](const Event& e) {
-    return std::tuple(e.start_ts, e.end_ts, static_cast<int>(e.op), e.subject,
-                      e.object, e.amount);
+    return std::tuple(e.start_ts, e.end_ts, e.subject, e.object, e.agent_id,
+                      e.amount, e.merge_count, static_cast<int>(e.op),
+                      static_cast<int>(e.object_type));
+  };
+  auto expect_index_eq = [](const EntityPostingIndex& actual,
+                            const EntityPostingIndex& expected) {
+    EXPECT_EQ(actual.keys, expected.keys);
+    EXPECT_EQ(actual.offsets, expected.offsets);
+    EXPECT_EQ(actual.indexes, expected.indexes);
   };
   ASSERT_EQ(loaded->partitions().size(), db.partitions().size());
   auto orig_it = db.partitions().begin();
   for (const auto& [key, partition] : loaded->partitions()) {
     ASSERT_TRUE(partition->sealed());
     ASSERT_EQ(key, orig_it->first);
-    std::vector<std::tuple<Timestamp, Timestamp, int, EntityId, EntityId,
-                           uint64_t>>
-        expected, actual;
-    for (const Event& event : orig_it->second->events()) {
-      expected.push_back(event_key(event));
-    }
-    for (const Event& event : partition->events()) {
-      actual.push_back(event_key(event));
-    }
-    EXPECT_EQ(actual, expected);
+    const EventPartition& hot = *orig_it->second;
     ++orig_it;
+    ASSERT_EQ(partition->size(), hot.size());
+    for (size_t i = 0; i < hot.size(); ++i) {
+      EXPECT_EQ(event_key(partition->events()[i]), event_key(hot.events()[i]));
+    }
 
-    // Rebuilt artifacts must mirror the merged rows.
     const EventColumns& cols = partition->columns();
-    ASSERT_EQ(cols.size(), partition->size());
-    uint64_t posting_total = 0;
+    const EventColumns& hot_cols = hot.columns();
+    EXPECT_EQ(cols.start_ts, hot_cols.start_ts);
+    EXPECT_EQ(cols.end_ts, hot_cols.end_ts);
+    EXPECT_EQ(cols.subject, hot_cols.subject);
+    EXPECT_EQ(cols.object, hot_cols.object);
+    EXPECT_EQ(cols.agent_id, hot_cols.agent_id);
+    EXPECT_EQ(cols.amount, hot_cols.amount);
+    EXPECT_EQ(cols.op, hot_cols.op);
+    EXPECT_EQ(cols.object_type, hot_cols.object_type);
+
     for (int op = 0; op < kNumOpTypes; ++op) {
-      posting_total += partition->posting(static_cast<OpType>(op)).size();
+      const OpPostingList& list = partition->posting(static_cast<OpType>(op));
+      const OpPostingList& hot_list = hot.posting(static_cast<OpType>(op));
+      EXPECT_EQ(list.indexes, hot_list.indexes);
+      EXPECT_EQ(list.min_start_ts, hot_list.min_start_ts);
+      EXPECT_EQ(list.max_start_ts, hot_list.max_start_ts);
+      EXPECT_EQ(partition->OpCount(static_cast<OpType>(op)),
+                hot.OpCount(static_cast<OpType>(op)));
     }
-    EXPECT_EQ(posting_total, partition->size());
-    for (size_t i = 0; i < partition->size(); ++i) {
-      EXPECT_EQ(cols.start_ts[i], partition->events()[i].start_ts);
-      EXPECT_EQ(cols.op[i], partition->events()[i].op);
-    }
+    EXPECT_EQ(partition->min_ts(), hot.min_ts());
+    EXPECT_EQ(partition->max_ts(), hot.max_ts());
+    expect_index_eq(partition->subject_index(), hot.subject_index());
+    expect_index_eq(partition->object_index(), hot.object_index());
+    EXPECT_EQ(partition->subject_exe_counts(), hot.subject_exe_counts());
+    EXPECT_EQ(partition->raw_event_count(), hot.raw_event_count());
+    EXPECT_EQ(partition->MemoryFootprint(), hot.MemoryFootprint());
     EXPECT_EQ(partition->OpCountInRange(0x1FF, TimeRange{INT64_MIN, INT64_MAX}),
               partition->size());
   }

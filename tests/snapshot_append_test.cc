@@ -57,6 +57,19 @@ AuditDatabase BuildSealedDb(int events_per_bucket = 25) {
   return db;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::string out;
+  FILE* f = fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buffer[4096];
+  size_t got;
+  while ((got = fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    out.append(buffer, got);
+  }
+  fclose(f);
+  return out;
+}
+
 bool EventsEqual(const Event& a, const Event& b) {
   return a.start_ts == b.start_ts && a.end_ts == b.end_ts &&
          a.amount == b.amount && a.subject == b.subject &&
@@ -314,6 +327,42 @@ TEST_F(SnapshotAppendTest, TornLatestFooterFallsBackToPrevious) {
   ASSERT_TRUE((*reopened)->recovered().has_value());
   EXPECT_EQ((*reopened)->recovered()->footer_seq, last - 1);
   EXPECT_EQ((*reopened)->recovered()->partitions.size(), 1u);
+}
+
+TEST_F(SnapshotAppendTest, OtherFormatVersionWithCommitsIsRefusedUntouched) {
+  AuditDatabase db = BuildSealedDb(5);
+  {
+    auto appender = SnapshotAppender::Open(dir_);
+    ASSERT_TRUE(appender.ok());
+    auto entries = AppendAll(appender->get(), db);
+    ASSERT_TRUE((*appender)
+                    ->Commit(db.options(), db.stats(), db.entities(), entries)
+                    .ok());
+  }
+  // Rewrite the header's format version to 3, as an older build wrote it.
+  const std::string data_path = dir_ + "/DATA";
+  {
+    FILE* f = fopen(data_path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const char version3[4] = {3, 0, 0, 0};
+    ASSERT_EQ(fseek(f, 8, SEEK_SET), 0);
+    ASSERT_EQ(fwrite(version3, 1, sizeof(version3), f), sizeof(version3));
+    fclose(f);
+  }
+  const std::string before = ReadFile(data_path);
+  ASSERT_GT(before.size(), snapfmt::kV2HeaderSize);
+
+  auto reopened = SnapshotAppender::Open(dir_);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("version 3"), std::string::npos)
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find(
+                "expected version " + std::to_string(snapfmt::kV2Version)),
+            std::string::npos)
+      << reopened.status().ToString();
+
+  EXPECT_EQ(ReadFile(data_path), before);
 }
 
 TEST_F(SnapshotAppendTest, CommitPrunesOldFootersKeepingSafetyMargin) {
