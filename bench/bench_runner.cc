@@ -758,12 +758,14 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     return bench;
   }
 
-  EngineOptions strict_options;
-  strict_options.shard_retry_backoff = std::chrono::milliseconds(1);
-  EngineOptions partial_options = strict_options;
-  partial_options.shard_policy = ShardPolicy::kPartial;
+  EngineOptions engine_options;
+  engine_options.shard_retry_backoff = std::chrono::milliseconds(1);
+  QueryLimits partial_limits;
+  partial_limits.shard_policy = ShardPolicy::kPartial;
   QueryLimits deadline_limits;
   deadline_limits.timeout = std::chrono::milliseconds(50);
+  QueryLimits partial_deadline_limits = deadline_limits;
+  partial_deadline_limits.shard_policy = ShardPolicy::kPartial;
 
   auto record = [&bench](ChaosScenarioRun run, bool pass) {
     run.pass = pass;
@@ -805,7 +807,7 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     // Clean baseline on the db-backed map.
     size_t clean_rows = 0;
     {
-      AiqlEngine engine(&shards->map, strict_options);
+      AiqlEngine engine(&shards->map, engine_options);
       ChaosScenarioRun run{query.id, "clean"};
       auto result = execute(&engine, query.text, nullptr, &run);
       clean_rows = run.rows;
@@ -818,7 +820,7 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     (void)Failpoint::Configure("shard.scatter=latency(500000)@arg" +
                                std::to_string(kChaosShards - 1));
     {
-      AiqlEngine engine(&shards->map, strict_options);
+      AiqlEngine engine(&shards->map, engine_options);
       QueryContext ctx(deadline_limits);
       ChaosScenarioRun run{query.id, "deadline_strict"};
       auto result = execute(&engine, query.text, &ctx, &run);
@@ -832,8 +834,8 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     (void)Failpoint::Configure("shard.scatter=latency(500000)@arg" +
                                std::to_string(kChaosShards - 1));
     {
-      AiqlEngine engine(&shards->map, partial_options);
-      QueryContext ctx(deadline_limits);
+      AiqlEngine engine(&shards->map, engine_options);
+      QueryContext ctx(partial_deadline_limits);
       ChaosScenarioRun run{query.id, "deadline_partial"};
       auto result = execute(&engine, query.text, &ctx, &run);
       bool pass = result.ok() && run.wall_us < kWallBoundUs &&
@@ -845,9 +847,10 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     Failpoint::ClearAll();
     (void)Failpoint::Configure("shard.scatter=error(IOError)@arg1");
     {
-      AiqlEngine engine(&shards->map, partial_options);
+      AiqlEngine engine(&shards->map, engine_options);
+      QueryContext ctx(partial_limits);
       ChaosScenarioRun run{query.id, "shard_unavailable_partial"};
-      auto result = execute(&engine, query.text, nullptr, &run);
+      auto result = execute(&engine, query.text, &ctx, &run);
       bool pass = result.ok() && run.shards_failed == 1 &&
                   run.shards_timed_out == 0 && run.rows <= clean_rows;
       record(std::move(run), pass);
@@ -858,7 +861,7 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     Failpoint::ClearAll();
     if (ReopenChaosSnapshots(snap_shards.get(), ranges)) {
       (void)Failpoint::Configure("snapshot.read.partition=error(IOError)");
-      AiqlEngine engine(&snap_shards->map, strict_options);
+      AiqlEngine engine(&snap_shards->map, engine_options);
       ChaosScenarioRun run{query.id, "snapshot_fault_strict"};
       auto result = execute(&engine, query.text, nullptr, &run);
       record(std::move(run),
@@ -871,7 +874,7 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     Failpoint::ClearAll();
     if (ReopenChaosSnapshots(snap_shards.get(), ranges)) {
       (void)Failpoint::Configure("snapshot.read.partition=corrupt@nth1");
-      AiqlEngine engine(&snap_shards->map, strict_options);
+      AiqlEngine engine(&snap_shards->map, engine_options);
       ChaosScenarioRun run{query.id, "snapshot_corrupt_retry"};
       auto result = execute(&engine, query.text, nullptr, &run);
       record(std::move(run), result.ok() && run.rows == clean_rows);
@@ -880,7 +883,7 @@ ChaosBench RunChaosBench(const std::vector<EventRecord>& demo_records,
     // Cleared: the db-backed map serves the clean rows again.
     Failpoint::ClearAll();
     {
-      AiqlEngine engine(&shards->map, strict_options);
+      AiqlEngine engine(&shards->map, engine_options);
       ChaosScenarioRun run{query.id, "cleared"};
       auto result = execute(&engine, query.text, nullptr, &run);
       record(std::move(run), result.ok() && run.rows == clean_rows);

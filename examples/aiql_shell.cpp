@@ -45,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -301,14 +300,11 @@ bool ParseTrackCommand(const std::string& args, TrackCommand* command) {
   return true;
 }
 
-/// Runs a parsed track command against the local engine. `name_of` renders
-/// a node's display name (per-shard stores in sharded mode);
-/// `export_store` backs the dot/cypher exporters and is null in sharded
-/// mode (node ids span several stores there). Returns false on failure
-/// (shell exit code).
-bool RunTrack(AiqlEngine* engine,
-              const std::function<std::string(const ProvenanceNode&)>& name_of,
-              const EntityStore* export_store, const TrackCommand& command) {
+/// Runs a parsed track command against the local engine. Node names render
+/// through the entity store of the node's shard; the dot/cypher exporters
+/// need a one-shard engine (node ids span several stores otherwise).
+/// Returns false on failure (shell exit code).
+bool RunTrack(AiqlEngine* engine, const TrackCommand& command) {
   const TrackRequest& request = command.request;
   bool want_dot = command.want_dot, want_cypher = command.want_cypher;
 
@@ -319,15 +315,16 @@ bool RunTrack(AiqlEngine* engine,
     std::printf("!! %s\n", result.status().ToString().c_str());
     return false;
   }
+  const ShardMap& shards = engine->shards();
   if (want_dot || want_cypher) {
-    if (export_store == nullptr) {
+    if (shards.num_shards() != 1) {
       std::printf("!! dot/cypher export is single-database only; "
                   "run 'shards off' first\n");
       return false;
     }
-    std::printf("%s", want_dot
-                          ? ProvenanceToDot(*result, *export_store).c_str()
-                          : ProvenanceToCypher(*result, *export_store).c_str());
+    const EntityStore& store = shards.entities(0);
+    std::printf("%s", want_dot ? ProvenanceToDot(*result, store).c_str()
+                               : ProvenanceToCypher(*result, store).c_str());
     return true;
   }
 
@@ -335,7 +332,7 @@ bool RunTrack(AiqlEngine* engine,
   for (const ProvenanceNode& node : result->nodes) {
     printer.AddRow({std::to_string(node.depth),
                     EntityTypeToString(node.type),
-                    name_of(node),
+                    shards.entities(node.shard).EntityName(node.type, node.id),
                     node.bound == INT64_MAX || node.bound == INT64_MIN
                         ? "-"
                         : FormatTimestamp(node.bound)});
@@ -572,13 +569,6 @@ int main(int argc, char** argv) {
                  : std::make_unique<AiqlEngine>(&*db, engine_options);
   };
   bool had_error = false;  // any failed query/track/check -> exit nonzero
-  // Node-name rendering for track output: per-shard stores when sharded.
-  auto name_of = [&](const ProvenanceNode& node) {
-    const EntityStore& entities = sharded != nullptr
-                                      ? sharded->map.entities(node.shard)
-                                      : db->entities();
-    return entities.EntityName(node.type, node.id);
-  };
   std::string line;
   while (true) {
     std::printf("aiql> ");
@@ -642,9 +632,7 @@ int main(int argc, char** argv) {
         had_error = true;
       } else if (remote != nullptr) {
         if (!RemoteCall(&remote, EncodeTrack(command))) had_error = true;
-      } else if (!RunTrack(engine.get(), name_of,
-                           sharded != nullptr ? nullptr : &db->entities(),
-                           command)) {
+      } else if (!RunTrack(engine.get(), command)) {
         had_error = true;
       }
       continue;
@@ -729,7 +717,7 @@ int main(int argc, char** argv) {
         }
         continue;
       }
-      engine_options.shard_policy =
+      engine_options.default_limits.shard_policy =
           arg == "on" ? ShardPolicy::kPartial : ShardPolicy::kStrict;
       rebuild_engine();
       std::printf("degraded sharded execution %s (%s)\n", arg.c_str(),

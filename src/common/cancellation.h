@@ -20,6 +20,18 @@
 
 namespace aiql {
 
+/// What to do when a shard fails (after retries) during scatter/gather or
+/// provenance tracking over a ShardMap with more than one shard.
+enum class ShardPolicy {
+  /// Any shard failure fails the whole query (all shard errors aggregated
+  /// into one Status).
+  kStrict,
+  /// Failed / timed-out shards are dropped; the query returns the merged
+  /// rows of the surviving shards, annotated per shard (QueryResult
+  /// degraded/shard_status fields).
+  kPartial,
+};
+
 /// Resource / time limits for one query. Zero means unlimited.
 struct QueryLimits {
   /// Wall-clock deadline, as a duration from context construction.
@@ -30,6 +42,8 @@ struct QueryLimits {
   uint64_t max_nodes = 0;
   /// Max bytes gathered cross-shard (binding exchange + rebuild).
   uint64_t max_bytes = 0;
+  /// Shard failure policy of this query.
+  ShardPolicy shard_policy = ShardPolicy::kStrict;
 };
 
 /// Per-query governance state. Construct once per Execute()/Track() call,

@@ -16,12 +16,10 @@
 #include "engine/result.h"
 #include "engine/scheduler.h"
 #include "query/ast.h"
-#include "storage/database.h"
+#include "storage/shard_map.h"
 
 namespace aiql {
 
-class SnapshotStore;
-class ShardMap;
 class TieredStore;
 
 /// Point-of-interest specification for AiqlEngine::Track(): every entity of
@@ -37,12 +35,13 @@ struct TrackRequest {
   ProvenanceOptions options;
 };
 
-/// Executes AIQL queries (multievent, dependency, anomaly) against an
-/// AuditDatabase. Each Execute opens a ReadView — a consistent snapshot of
-/// the currently-sealed partitions — so queries are safe and consistent
-/// while a writer thread keeps ingesting (bounded staleness: events become
-/// visible once their partition seals). Thread-safe for concurrent Execute
-/// calls (views are shared-locked and the pool is internally synchronized).
+/// Executes AIQL queries (multievent, dependency, anomaly) and provenance
+/// tracks over a ShardMap; a single store is a one-shard map the engine
+/// owns. Each query opens one ReadView per shard — a consistent snapshot of
+/// the currently-sealed partitions — so queries are safe while a writer
+/// keeps ingesting (events become visible once their partition seals). One
+/// view runs the per-store executor directly; more views scatter and gather
+/// (engine/shard_exec.h). Thread-safe for concurrent Execute/Track calls.
 class AiqlEngine {
  public:
   /// `db` must outlive the engine. It may still be ingesting; batch
@@ -63,25 +62,28 @@ class AiqlEngine {
   /// query's byte budget. `tiered` must outlive the engine.
   explicit AiqlEngine(const TieredStore* tiered, EngineOptions options = {});
 
-  /// Sharded mode: queries scatter across the map's shards (each backed by
-  /// a database or snapshot keyed by agent range) and gather through the
-  /// merge layer; Track() exchanges provenance frontiers across shards.
-  /// Single-db construction and semantics are unchanged. `shards` must
-  /// outlive the engine.
+  /// Sharded mode: with more than one shard, queries scatter across the
+  /// map's shards (each backed by a database, snapshot or tiered store keyed
+  /// by agent range) and gather through the merge layer; Track() exchanges
+  /// provenance frontiers across shards. A one-shard map runs exactly like
+  /// its single store. `shards` must outlive the engine.
   explicit AiqlEngine(const ShardMap* shards, EngineOptions options = {});
 
   ~AiqlEngine();
 
   /// Parses, analyzes, optimizes, and executes `text`. When
-  /// EngineOptions::default_limits sets any limit, the run is governed by a
-  /// per-query QueryContext built from them (deadline / budget breaches
-  /// surface as kDeadlineExceeded / kResourceExhausted); all-zero limits
-  /// keep the ungoverned hot path.
+  /// EngineOptions::default_limits sets any limit or the partial shard
+  /// policy, the run is governed by a per-query QueryContext built from
+  /// them (deadline / budget breaches surface as kDeadlineExceeded /
+  /// kResourceExhausted); all-zero strict limits keep the ungoverned hot
+  /// path.
   Result<QueryResult> Execute(std::string_view text);
 
   /// Same, governed by a caller-owned context — the caller can Cancel() it
   /// from another thread, inspect charged budgets afterwards, or share one
-  /// context across several queries under a common deadline.
+  /// context across several queries under a common deadline. Its limits
+  /// also carry the shard policy (null = strict), which, like retries,
+  /// applies only over more than one shard (engine/shard_exec.h).
   Result<QueryResult> Execute(std::string_view text, QueryContext* ctx);
 
   /// Syntax/semantic check only (the web UI's query debugging feature):
@@ -95,28 +97,24 @@ class AiqlEngine {
   /// entities matching `request`. Runs against the same consistent ReadView
   /// machinery as Execute — including lazily materialized snapshot views,
   /// where each hop reads only the partitions its time bounds select.
-  /// Governance mirrors Execute (default_limits / caller context). A
-  /// single store is tracked as a one-view shard list: each hop makes one
-  /// partition-selection attempt and a storage error fails the track with
-  /// its own code. Over a ShardMap each shard's per-hop selection follows
-  /// the engine's retry/degradation policy (shard_max_attempts,
-  /// shard_retry_backoff, shard_policy), as Execute does.
+  /// Governance, retry and shard policy mirror Execute.
   Result<ProvenanceResult> Track(const TrackRequest& request);
   Result<ProvenanceResult> Track(const TrackRequest& request,
                                  QueryContext* ctx);
 
   const EngineOptions& options() const { return options_; }
 
+  /// The map the engine serves (a one-shard map for a single store), for
+  /// rendering a track node through entities(node.shard).
+  const ShardMap& shards() const { return *shards_; }
+
  private:
-  Result<QueryResult> Dispatch(const ParsedQuery& parsed, QueryContext* ctx);
+  /// Fills the engine's own one-shard map with `store` and returns it.
+  template <typename Store>
+  const ShardMap* OwnOneShard(const Store* store);
 
-  /// Opens the backing store's read view (database, tiered, or snapshot).
-  ReadView OpenView() const;
-
-  const AuditDatabase* db_ = nullptr;
-  const SnapshotStore* snapshot_ = nullptr;
-  const TieredStore* tiered_ = nullptr;
-  const ShardMap* shards_ = nullptr;
+  ShardMap own_map_;  ///< the one-shard map of a single-store engine
+  const ShardMap* shards_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -267,8 +267,7 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
       }
       // AttemptShard maps an exhausted transient fault to kUnavailable; any
       // other error is hard and fails both policies.
-      if (shard_retry == nullptr ||
-          shard_retry->shard_policy != ShardPolicy::kPartial ||
+      if (shard_retry == nullptr || !PartialShardPolicy(ctx) ||
           !IsTransientShardError(selected.status().code())) {
         return selected.status();
       }

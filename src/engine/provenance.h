@@ -186,14 +186,15 @@ struct EngineOptions;
 /// (kDeadlineExceeded / kCancelled / kResourceExhausted).
 ///
 /// Fails when `views` or `roots` is empty, or when a view cannot
-/// materialize a selected partition. With `shard_retry` null (a single
-/// store) each hop makes one selection attempt per view and a storage error
-/// fails the run with its own code. With `shard_retry` set (the views are a
-/// ShardMap's shards) each shard's per-hop selection runs under
-/// AttemptShard with its shard_max_attempts / shard_retry_backoff; an
+/// materialize a selected partition. With `shard_retry` null (one view)
+/// each hop makes one selection attempt per view and a storage error fails
+/// the run with its own code. With `shard_retry` set (the views are the
+/// shards of a multi-shard map) each shard's per-hop selection runs under
+/// AttemptShard with kShardMaxAttempts / its shard_retry_backoff; an
 /// exhausted shard fails the run with kUnavailable naming the shard and
-/// cause, or — under ShardPolicy::kPartial — is dropped for the rest of the
-/// run, annotated in stats.shard_status with the graph marked truncated.
+/// cause, or — when `ctx` sets ShardPolicy::kPartial — is dropped for the
+/// rest of the run, annotated in stats.shard_status with the graph marked
+/// truncated.
 Result<ProvenanceResult> TrackProvenance(
     const std::vector<ReadView>& views, const std::vector<ShardEntity>& roots,
     Timestamp anchor, const ProvenanceOptions& options,

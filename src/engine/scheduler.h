@@ -22,17 +22,6 @@
 
 namespace aiql {
 
-/// What to do when a shard fails (after retries) during scatter/gather.
-enum class ShardPolicy {
-  /// Any shard failure fails the whole query (all shard errors aggregated
-  /// into one Status).
-  kStrict,
-  /// Failed / timed-out shards are dropped; the query returns the merged
-  /// rows of the surviving shards, annotated per shard (QueryResult
-  /// degraded/shard_status fields).
-  kPartial,
-};
-
 /// Engine knobs; defaults enable every optimization. The ablation benchmark
 /// toggles them individually.
 struct EngineOptions {
@@ -55,16 +44,12 @@ struct EngineOptions {
 
   // --- Query governance (deadlines, budgets, degraded execution) ---
 
-  /// Default limits applied to every Execute()/Track() when the caller does
-  /// not pass its own QueryContext. All-zero = ungoverned.
+  /// Default limits (and shard policy) applied to every Execute()/Track()
+  /// when the caller does not pass its own QueryContext. All-zero limits
+  /// with the strict policy = ungoverned.
   QueryLimits default_limits;
-  /// Shard failure policy for sharded scatter/gather.
-  ShardPolicy shard_policy = ShardPolicy::kStrict;
-  /// Per-shard attempts for transient failures (IOError / Unavailable /
-  /// injected faults). 1 = no retry.
-  int shard_max_attempts = 3;
-  /// Backoff before the second attempt; doubles per retry. Interruptible
-  /// by deadline/cancel.
+  /// Backoff before a shard's second attempt (of kShardMaxAttempts);
+  /// doubles per retry. Interruptible by deadline/cancel.
   std::chrono::milliseconds shard_retry_backoff{5};
 };
 

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -13,10 +12,10 @@
 #include "common/cancellation.h"
 #include "common/failpoint.h"
 #include "engine/anomaly.h"
-#include "engine/dependency.h"
 #include "engine/executor.h"
 #include "engine/scan.h"
 #include "engine/shard_merge.h"
+#include "storage/shard_map.h"
 
 namespace aiql {
 
@@ -68,67 +67,10 @@ struct GlobalMatches {
 
 }  // namespace
 
-ShardedExecutor::ShardedExecutor(const ShardMap* shards, EngineOptions options,
-                                 ThreadPool* pool)
-    : shards_(shards), options_(options), pool_(pool) {
-  if (options_.enable_parallelism && pool_ == nullptr) {
-    size_t threads = options_.num_threads != 0
-                         ? options_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-    owned_pool_ = std::make_unique<ThreadPool>(threads);
-    pool_ = owned_pool_.get();
-  }
-}
-
-Result<QueryResult> ShardedExecutor::Execute(const ParsedQuery& parsed,
-                                             QueryContext* ctx) {
-  if (shards_->num_shards() == 0) {
-    return Status::InvalidArgument("shard map has no shards");
-  }
-  // Scatter-time consistency: every shard's view is taken here, before any
-  // work, each atomic against its shard's concurrent ingestion.
-  std::vector<ReadView> views = shards_->OpenReadViews();
-
-  switch (parsed.kind) {
-    case QueryKind::kMultievent: {
-      AIQL_ASSIGN_OR_RETURN(
-          AnalyzedQuery analyzed,
-          AnalyzeMultievent(*parsed.multievent, parsed.kind));
-      if (analyzed.ast->patterns.size() == 1) {
-        return ExecuteFast(analyzed, views, ctx);
-      }
-      return ExecuteGathered(analyzed, views, /*anomaly=*/false, ctx);
-    }
-    case QueryKind::kAnomaly: {
-      AIQL_ASSIGN_OR_RETURN(
-          AnalyzedQuery analyzed,
-          AnalyzeMultievent(*parsed.multievent, parsed.kind));
-      // Window groups aggregate events regardless of host, so anomaly
-      // always gathers (per-shard aggregates would not compose).
-      return ExecuteGathered(analyzed, views, /*anomaly=*/true, ctx);
-    }
-    case QueryKind::kDependency: {
-      AIQL_ASSIGN_OR_RETURN(auto rewritten,
-                            RewriteDependency(*parsed.dependency));
-      AIQL_ASSIGN_OR_RETURN(
-          AnalyzedQuery analyzed,
-          AnalyzeMultievent(*rewritten, QueryKind::kMultievent));
-      Result<QueryResult> result =
-          analyzed.ast->patterns.size() == 1
-              ? ExecuteFast(analyzed, views, ctx)
-              : ExecuteGathered(analyzed, views, /*anomaly=*/false, ctx);
-      if (!result.ok()) return result;
-      result.value().plan = "dependency query rewritten to multievent:\n" +
-                            result.value().plan;
-      return result;
-    }
-  }
-  return Status::Internal("unknown query kind");
-}
-
-Result<QueryResult> ShardedExecutor::ExecuteFast(const AnalyzedQuery& analyzed,
-                                                 std::vector<ReadView>& views,
-                                                 QueryContext* ctx) {
+Result<QueryResult> ExecuteShardsFast(const AnalyzedQuery& analyzed,
+                                      std::vector<ReadView>& views,
+                                      const EngineOptions& options,
+                                      ThreadPool* pool, QueryContext* ctx) {
   const MultieventQueryAst& ast = *analyzed.ast;
   const size_t num_shards = views.size();
 
@@ -153,18 +95,18 @@ Result<QueryResult> ShardedExecutor::ExecuteFast(const AnalyzedQuery& analyzed,
     ScopedQueryContext bind(ctx);
     shard_status[s].shard = static_cast<uint32_t>(s);
     Result<QueryResult> result = AttemptShard(
-        s, options_, ctx, &shard_status[s].attempts,
+        s, options, ctx, &shard_status[s].attempts,
         [&]() -> Result<QueryResult> {
           AIQL_RETURN_IF_ERROR(
               Failpoint::Hit("shard.scatter", static_cast<int64_t>(s)));
-          MultieventExecutor executor(&views[s], options_, pool_);
+          MultieventExecutor executor(&views[s], options, pool);
           return executor.Execute(analyzed, ctx);
         });
     shard_status[s].status = result.ok() ? Status::OK() : result.status();
     scattered[s].emplace(std::move(result));
   };
-  if (options_.enable_parallelism && pool_ != nullptr && num_shards > 1) {
-    pool_->ParallelFor(num_shards, run_shard);
+  if (options.enable_parallelism && pool != nullptr && num_shards > 1) {
+    pool->ParallelFor(num_shards, run_shard);
   } else {
     for (size_t s = 0; s < num_shards; ++s) run_shard(s);
   }
@@ -180,7 +122,7 @@ Result<QueryResult> ShardedExecutor::ExecuteFast(const AnalyzedQuery& analyzed,
   }
 
   if (failed > 0) {
-    if (options_.shard_policy == ShardPolicy::kStrict || failed == num_shards) {
+    if (!PartialShardPolicy(ctx) || failed == num_shards) {
       // Strict (or nothing survived): fail with every shard error named.
       return AggregateShardErrors(shard_results);
     }
@@ -218,13 +160,15 @@ Result<QueryResult> ShardedExecutor::ExecuteFast(const AnalyzedQuery& analyzed,
   return merged;
 }
 
-Result<QueryResult> ShardedExecutor::ExecuteGathered(
-    const AnalyzedQuery& analyzed, std::vector<ReadView>& views,
-    bool anomaly, QueryContext* ctx) {
+Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
+                                          std::vector<ReadView>& views,
+                                          bool anomaly,
+                                          const EngineOptions& options,
+                                          ThreadPool* pool, QueryContext* ctx) {
   const MultieventQueryAst& ast = *analyzed.ast;
   const size_t num_shards = views.size();
   const int num_patterns = static_cast<int>(ast.patterns.size());
-  const bool partial = options_.shard_policy == ShardPolicy::kPartial;
+  const bool partial = PartialShardPolicy(ctx);
   auto scatter_start = Clock::now();
 
   // Per-shard degradation state: a shard that fails a storage-level
@@ -258,14 +202,14 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
   // mirroring SchedulePatterns over a merged database.
   std::vector<size_t> order(num_patterns);
   std::iota(order.begin(), order.end(), size_t{0});
-  if (options_.enable_reordering && num_patterns > 1) {
+  if (options.enable_reordering && num_patterns > 1) {
     std::vector<double> estimates(num_patterns, 0.0);
     for (size_t s = 0; s < num_shards; ++s) {
       if (shard_dropped[s]) continue;
       for (int p = 0; p < num_patterns; ++p) {
         int attempts = 0;
         Result<double> estimate =
-            AttemptShard(s, options_, ctx, &attempts, [&] {
+            AttemptShard(s, options, ctx, &attempts, [&] {
               return EstimateCardinality(compiled[s][p], views[s],
                                          analyzed.agent_filter);
             });
@@ -313,7 +257,7 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
     const int p = static_cast<int>(order[rank]);
     const EventPatternAst& pattern_ast = ast.patterns[p];
 
-    if (options_.enable_semi_join) {
+    if (options.enable_semi_join) {
       auto apply_binding = [&](const EntityDeclAst& decl, bool is_subject) {
         if (decl.var.empty()) return;
         auto it = bindings.find(decl.var);
@@ -337,7 +281,7 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
       apply_binding(pattern_ast.object, /*is_subject=*/false);
     }
 
-    if (options_.enable_temporal_pruning) {
+    if (options.enable_temporal_pruning) {
       for (const TemporalRelAst& rel : ast.temporal_rels) {
         int left = analyzed.event_index.at(rel.left);
         int right = analyzed.event_index.at(rel.right);
@@ -381,7 +325,7 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
       // here too (same site name as the fast path, arg = shard index).
       int attempts = 0;
       auto selected = AttemptShard(
-          s, options_, ctx, &attempts,
+          s, options, ctx, &attempts,
           [&]() -> Result<std::vector<
                        std::pair<PartitionKey, const EventPartition*>>> {
             AIQL_RETURN_IF_ERROR(
@@ -422,14 +366,14 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
       local_scanned[i] = ScanPartition(
           *fp.partition, compiled[fp.shard][p], ranges[p], agent_filter,
           anomaly ? false : same_var_both_sides, &local[i], ctx,
-          options_.enable_batch_kernels);
+          options.enable_batch_kernels);
     };
-    if (options_.enable_parallelism && pool_ != nullptr && flat.size() > 1) {
+    if (options.enable_parallelism && pool != nullptr && flat.size() > 1) {
       if (ctx != nullptr) {
-        pool_->ParallelFor(flat.size(), scan_partition,
+        pool->ParallelFor(flat.size(), scan_partition,
                            [ctx] { return ctx->stopped(); });
       } else {
-        pool_->ParallelFor(flat.size(), scan_partition);
+        pool->ParallelFor(flat.size(), scan_partition);
       }
     } else {
       for (size_t i = 0; i < flat.size(); ++i) {
@@ -454,7 +398,7 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
       break;
     }
 
-    if (options_.enable_semi_join) {
+    if (options.enable_semi_join) {
       auto record_binding = [&](const EntityDeclAst& decl, bool is_subject) {
         if (decl.var.empty()) return;
         std::unordered_map<std::string, ObjectRef> occurrence;
@@ -538,10 +482,10 @@ Result<QueryResult> ShardedExecutor::ExecuteGathered(
   ReadView mini_view = mini.OpenReadView();
   QueryResult result;
   if (anomaly) {
-    AnomalyExecutor central(&mini_view, options_, pool_);
+    AnomalyExecutor central(&mini_view, options, pool);
     AIQL_ASSIGN_OR_RETURN(result, central.Execute(analyzed, ctx));
   } else {
-    MultieventExecutor central(&mini_view, options_, pool_);
+    MultieventExecutor central(&mini_view, options, pool);
     AIQL_ASSIGN_OR_RETURN(result, central.Execute(analyzed, ctx));
   }
   result.stats.events_scanned += scatter_stats.events_scanned;

@@ -1,9 +1,7 @@
-// Scatter/gather query execution over a ShardMap (the sharded counterpart
-// of MultieventExecutor / AnomalyExecutor dispatch).
-//
-// Every query first takes one ReadView per shard — each view is atomic
-// against its shard, so scatter is safe while shards keep ingesting. Two
-// execution paths:
+// Scatter/gather query execution over the views of a multi-shard map.
+// AiqlEngine prepares the query, takes one ReadView per shard (each atomic
+// against its shard, so scatter is safe while shards keep ingesting) and,
+// when there is more than one view, calls one of two paths:
 //
 //  * Fast path (single-pattern multievent / rewritten dependency): the
 //    complete query runs on every shard independently and the per-shard
@@ -30,7 +28,6 @@
 #ifndef AIQL_ENGINE_SHARD_EXEC_H_
 #define AIQL_ENGINE_SHARD_EXEC_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -38,49 +35,37 @@
 #include "engine/result.h"
 #include "engine/scheduler.h"
 #include "query/analyzer.h"
-#include "query/ast.h"
-#include "storage/shard_map.h"
+#include "storage/database.h"
 
 namespace aiql {
 
-/// Executes parsed AIQL queries against a ShardMap. `shards` must outlive
-/// the executor; `pool` may be null (a private pool is created when
-/// parallelism is on). Thread-safe for concurrent Execute calls.
-class ShardedExecutor {
- public:
-  ShardedExecutor(const ShardMap* shards, EngineOptions options,
-                  ThreadPool* pool = nullptr);
-
-  /// Runs the query scatter/gather; result semantics match the single-db
-  /// engine over the union of all shards' data.
-  ///
-  /// `ctx` (optional) governs the run. Degraded execution (per
-  /// EngineOptions): each shard attempt retries transient storage faults
-  /// with doubled backoff (shard_max_attempts / shard_retry_backoff), then
-  /// either fails the query with an aggregate all-shard-errors Status
-  /// (kStrict) or drops the shard and merges the survivors, annotating
-  /// QueryResult::degraded per shard (kPartial). A fast-path shard that
-  /// misses the deadline is dropped the same way in partial mode — the
-  /// deadline is lifted for the bounded merge of the surviving shards. The
-  /// gathered path (multi-pattern / anomaly) degrades on storage faults
-  /// only; deadline / cancel / budget violations abort it in both policies
-  /// (its central re-execution cannot produce a sound subset mid-scatter).
-  Result<QueryResult> Execute(const ParsedQuery& parsed,
-                              QueryContext* ctx = nullptr);
-
- private:
-  Result<QueryResult> ExecuteFast(const AnalyzedQuery& analyzed,
-                                  std::vector<ReadView>& views,
-                                  QueryContext* ctx);
-  Result<QueryResult> ExecuteGathered(const AnalyzedQuery& analyzed,
+/// Fast path: runs the complete single-pattern query on every view and
+/// merges the per-shard tables. Result semantics match the single-db engine
+/// over the union of all shards' data.
+///
+/// `ctx` (optional) governs the run and carries the shard policy. Each
+/// shard attempt retries transient storage faults with doubled backoff
+/// (kShardMaxAttempts / options.shard_retry_backoff), then either fails the
+/// query with an aggregate all-shard-errors Status (kStrict) or drops the
+/// shard and merges the survivors, annotating QueryResult::degraded per
+/// shard (kPartial). A shard that misses the deadline is dropped the same
+/// way in partial mode — the deadline is lifted for the bounded merge of
+/// the surviving shards.
+Result<QueryResult> ExecuteShardsFast(const AnalyzedQuery& analyzed,
                                       std::vector<ReadView>& views,
-                                      bool anomaly, QueryContext* ctx);
+                                      const EngineOptions& options,
+                                      ThreadPool* pool, QueryContext* ctx);
 
-  const ShardMap* shards_;
-  EngineOptions options_;
-  ThreadPool* pool_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-};
+/// Gathered path (multi-pattern multievent, anomaly): scatters the scans,
+/// gathers the matching events and finishes centrally. Degrades (per the
+/// policy above) on storage faults only; deadline / cancel / budget
+/// violations abort it in both policies (its central re-execution cannot
+/// produce a sound subset mid-scatter).
+Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
+                                          std::vector<ReadView>& views,
+                                          bool anomaly,
+                                          const EngineOptions& options,
+                                          ThreadPool* pool, QueryContext* ctx);
 
 }  // namespace aiql
 

@@ -56,22 +56,32 @@ int CompareRowsByKeys(const std::vector<Value>& a, const std::vector<Value>& b,
 /// errors (parse/semantic/deadline/cancel/budget) are never transient.
 bool IsTransientShardError(StatusCode code);
 
+/// Attempts per shard operation over a multi-shard map: one try plus two
+/// retries of a transient storage fault.
+inline constexpr int kShardMaxAttempts = 3;
+
+/// True when `ctx` asks for ShardPolicy::kPartial (a null context is
+/// strict).
+inline bool PartialShardPolicy(const QueryContext* ctx) {
+  return ctx != nullptr && ctx->limits().shard_policy == ShardPolicy::kPartial;
+}
+
 /// Runs `attempt` with bounded retry/backoff for transient storage faults
-/// (engine options shard_max_attempts / shard_retry_backoff). The backoff
-/// doubles per retry and sleeps interruptibly, so deadline/cancel cut it
-/// short. After retries exhaust, a transient error is mapped to
-/// kUnavailable naming the shard and the underlying cause. `attempts_out`
-/// reports the total attempts made. Shared by scattered query execution
-/// and the per-hop partition selection of sharded provenance tracking.
+/// (kShardMaxAttempts attempts, first backoff options.shard_retry_backoff).
+/// The backoff doubles per retry and sleeps interruptibly, so
+/// deadline/cancel cut it short. After retries exhaust, a transient error
+/// is mapped to kUnavailable naming the shard and the underlying cause.
+/// `attempts_out` reports the total attempts made. Shared by scattered
+/// query execution and the per-hop partition selection of sharded
+/// provenance tracking.
 template <typename Fn>
 auto AttemptShard(size_t shard, const EngineOptions& options, QueryContext* ctx,
                   int* attempts_out, Fn&& attempt)
     -> decltype(attempt()) {
-  const int max_attempts = std::max(1, options.shard_max_attempts);
   auto backoff = options.shard_retry_backoff;
   int attempts = 0;
   decltype(attempt()) last = Status::Internal("shard not attempted");
-  while (attempts < max_attempts) {
+  while (attempts < kShardMaxAttempts) {
     ++attempts;
     if (ctx != nullptr) {
       Status governed = ctx->Check();
@@ -82,7 +92,7 @@ auto AttemptShard(size_t shard, const EngineOptions& options, QueryContext* ctx,
     }
     last = attempt();
     if (last.ok() || !IsTransientShardError(last.status().code())) break;
-    if (attempts >= max_attempts) break;
+    if (attempts >= kShardMaxAttempts) break;
     InterruptibleSleep(
         std::chrono::duration_cast<std::chrono::microseconds>(backoff));
     backoff *= 2;

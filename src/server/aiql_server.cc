@@ -106,9 +106,8 @@ struct AiqlServer::Session {
   std::atomic<bool> done{false};
 
   // Session state, touched only by the session thread.
-  QueryLimits limits;
+  QueryLimits limits;  ///< includes the session's shard policy
   bool use_shards = false;
-  bool partial = false;
   DegradedInfo last_degraded;
 
   // Cancel coordination with Stop(): the context of the in-flight query,
@@ -180,6 +179,17 @@ std::string RenderShardLayout(const ShardMap& shards) {
   return out;
 }
 
+/// One engine over `store`, or null without one. Session limits govern
+/// every query via a per-query context, so engine defaults must not stack a
+/// second context on top.
+template <typename Store>
+std::unique_ptr<AiqlEngine> ServedEngine(const Store* store,
+                                         EngineOptions options) {
+  if (store == nullptr) return nullptr;
+  options.default_limits = QueryLimits{};
+  return std::make_unique<AiqlEngine>(store, options);
+}
+
 /// The shell's track footer, rendered to a string (the client appends its
 /// own elapsed time).
 std::string RenderTrackSummary(const ProvenanceResult& result) {
@@ -234,36 +244,21 @@ AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
     : db_(db),
       shards_(shards),
       options_(std::move(options)),
+      engine_single_(ServedEngine(db, engine_options)),
+      engine_sharded_(ServedEngine(shards, engine_options)),
       gate_(options_.max_concurrent_queries, options_.admission_queue_depth,
-            options_.admission_wait) {
-  // Session limits govern every query via a per-query context; engine
-  // defaults must not stack a second context on top.
-  engine_options.default_limits = QueryLimits{};
-  if (db_ != nullptr) {
-    EngineOptions single = engine_options;
-    engine_single_ = std::make_unique<AiqlEngine>(db_, single);
-  }
-  if (shards_ != nullptr) {
-    EngineOptions strict = engine_options;
-    strict.shard_policy = ShardPolicy::kStrict;
-    engine_sharded_strict_ = std::make_unique<AiqlEngine>(shards_, strict);
-    EngineOptions partial = engine_options;
-    partial.shard_policy = ShardPolicy::kPartial;
-    engine_sharded_partial_ = std::make_unique<AiqlEngine>(shards_, partial);
-  }
-}
+            options_.admission_wait) {}
 
 AiqlServer::AiqlServer(const TieredStore* tiered, const ShardMap* shards,
                        ServerOptions options, EngineOptions engine_options)
-    : AiqlServer(tiered != nullptr ? &tiered->db() : nullptr, shards,
-                 std::move(options), engine_options) {
-  if (tiered != nullptr) {
-    // Replace the hot-only engine the delegated constructor built with one
-    // over the full tiered store (hot + cold partitions).
-    engine_options.default_limits = QueryLimits{};
-    engine_single_ = std::make_unique<AiqlEngine>(tiered, engine_options);
-    AttachRetention(tiered);
-  }
+    : db_(tiered != nullptr ? &tiered->db() : nullptr),
+      shards_(shards),
+      options_(std::move(options)),
+      engine_single_(ServedEngine(tiered, engine_options)),
+      engine_sharded_(ServedEngine(shards, engine_options)),
+      gate_(options_.max_concurrent_queries, options_.admission_queue_depth,
+            options_.admission_wait) {
+  AttachRetention(tiered);
 }
 
 AiqlServer::~AiqlServer() { Stop(); }
@@ -451,11 +446,7 @@ void AiqlServer::ServeSession(Session* session) {
 }
 
 AiqlEngine* AiqlServer::EngineFor(const Session& session) const {
-  if (session.use_shards) {
-    return session.partial ? engine_sharded_partial_.get()
-                           : engine_sharded_strict_.get();
-  }
-  return engine_single_.get();
+  return session.use_shards ? engine_sharded_.get() : engine_single_.get();
 }
 
 std::string AiqlServer::HandleRequest(Session* session,
@@ -557,8 +548,9 @@ std::string AiqlServer::HandleQuery(Session* session, const std::string& text,
 
 std::string AiqlServer::HandleTrack(Session* session,
                                     const TrackCommand& command) {
-  if ((command.want_dot || command.want_cypher) &&
-      (session->use_shards || db_ == nullptr)) {
+  AiqlEngine* engine = EngineFor(*session);
+  const ShardMap& shards = engine->shards();
+  if ((command.want_dot || command.want_cypher) && shards.num_shards() != 1) {
     return EncodeError(Status::InvalidArgument(
         "dot/cypher export is single-database only; send `shards off` "
         "first"));
@@ -574,7 +566,6 @@ std::string AiqlServer::HandleTrack(Session* session,
     std::lock_guard<std::mutex> lock(session->ctx_mu);
     session->active_ctx = &ctx;
   }
-  AiqlEngine* engine = EngineFor(*session);
   Result<ProvenanceResult> result = Status::Internal("track task never ran");
   query_pool_
       ->Submit([&] {
@@ -595,18 +586,15 @@ std::string AiqlServer::HandleTrack(Session* session,
   TrackReply reply;
   if (command.want_dot || command.want_cypher) {
     reply.text = command.want_dot
-                     ? ProvenanceToDot(*result, db_->entities())
-                     : ProvenanceToCypher(*result, db_->entities());
+                     ? ProvenanceToDot(*result, shards.entities(0))
+                     : ProvenanceToCypher(*result, shards.entities(0));
   } else {
     reply.table.columns = {"depth", "type", "entity", "bound"};
     for (const ProvenanceNode& node : result->nodes) {
-      const EntityStore& entities = session->use_shards
-                                        ? shards_->entities(node.shard)
-                                        : db_->entities();
       reply.table.rows.push_back(
           {std::string(std::to_string(node.depth)),
            std::string(EntityTypeToString(node.type)),
-           entities.EntityName(node.type, node.id),
+           shards.entities(node.shard).EntityName(node.type, node.id),
            node.bound == INT64_MAX || node.bound == INT64_MIN
                ? std::string("-")
                : FormatTimestamp(node.bound)});
@@ -666,12 +654,12 @@ std::string AiqlServer::HandleSetOption(Session* session,
       return EncodeError(
           Status::InvalidArgument("'partial' expects on|off"));
     }
-    session->partial = EqualsIgnoreCase(value, "on");
+    const bool partial = EqualsIgnoreCase(value, "on");
+    session->limits.shard_policy =
+        partial ? ShardPolicy::kPartial : ShardPolicy::kStrict;
     return ok(std::string("degraded sharded execution ") +
-              (session->partial ? "on (failed shards drop, results "
-                                  "annotated)"
-                                : "off (any shard failure fails the "
-                                  "query)"));
+              (partial ? "on (failed shards drop, results annotated)"
+                       : "off (any shard failure fails the query)"));
   }
   if (name == "shards") {
     if (EqualsIgnoreCase(value, "on")) {
@@ -727,7 +715,8 @@ std::string AiqlServer::RenderStats(const Session& session) const {
   }
   out += "session " + std::to_string(session.id) + ": shards=" +
          (session.use_shards ? "on" : "off") + " partial=" +
-         (session.partial ? "on" : "off");
+         (session.limits.shard_policy == ShardPolicy::kPartial ? "on"
+                                                               : "off");
   if (HasAnyLimit(session.limits)) {
     out += " limits: " + RenderLimits(session.limits);
   }

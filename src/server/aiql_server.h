@@ -12,11 +12,11 @@
 // queueing. Session connects beyond `max_sessions` are likewise refused
 // with an error frame before close.
 //
-// Per-session state: the session's QueryLimits (deadline + row/node/byte
-// budgets, enforced through a per-query QueryContext bound via
-// ScopedQueryContext on the executing thread), its engine selection
-// (single-database vs the shard map, strict vs partial degradation), and
-// the DegradedInfo of its last sharded query.
+// Per-session state: the session's QueryLimits (deadline, row/node/byte
+// budgets and strict vs partial shard policy, enforced through a per-query
+// QueryContext bound via ScopedQueryContext on the executing thread), its
+// engine selection (single-database vs the shard map), and the
+// DegradedInfo of its last sharded query.
 
 #ifndef AIQL_SERVER_AIQL_SERVER_H_
 #define AIQL_SERVER_AIQL_SERVER_H_
@@ -189,11 +189,10 @@ class AiqlServer {
   std::vector<const TieredStore*> retention_;
   ServerOptions options_;
 
-  // One engine per (backend, degradation policy) the sessions can select;
-  // AiqlEngine is thread-safe for concurrent Execute/Track.
+  // One engine per backend the sessions can select (the shard policy is
+  // per query); AiqlEngine is thread-safe for concurrent Execute/Track.
   std::unique_ptr<AiqlEngine> engine_single_;
-  std::unique_ptr<AiqlEngine> engine_sharded_strict_;
-  std::unique_ptr<AiqlEngine> engine_sharded_partial_;
+  std::unique_ptr<AiqlEngine> engine_sharded_;
 
   Listener listener_;
   std::thread accept_thread_;

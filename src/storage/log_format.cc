@@ -1,6 +1,7 @@
 #include "storage/log_format.h"
 
 #include <charconv>
+#include <type_traits>
 #include <cstdio>
 #include <fstream>
 
@@ -47,10 +48,20 @@ std::vector<std::string_view> SplitFields(std::string_view line) {
   return SplitString(line, '\t');
 }
 
-Result<int64_t> ParseInt(std::string_view field, const char* what) {
-  int64_t value = 0;
+/// Parses a whole field as integer type T. A value T cannot hold (too large,
+/// or negative for an unsigned T) is rejected, never narrowed.
+template <typename T>
+Result<T> ParseInt(std::string_view field, const char* what) {
+  T value = 0;
   auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), value);
+  bool negative = field.size() > 1 && field[0] == '-' && field[1] >= '0' &&
+                  field[1] <= '9';
+  if (ec == std::errc::result_out_of_range ||
+      (std::is_unsigned_v<T> && negative)) {
+    return Status::Corruption(std::string(what) + " field '" +
+                              std::string(field) + "' is out of range");
+  }
   if (ec != std::errc() || ptr != field.data() + field.size()) {
     return Status::Corruption(std::string("bad ") + what + " field '" +
                               std::string(field) + "'");
@@ -126,16 +137,16 @@ Result<EventRecord> ParseLogLine(std::string_view line) {
                               std::to_string(fields.size()));
   }
   EventRecord record;
-  AIQL_ASSIGN_OR_RETURN(record.start_ts, ParseInt(fields[0], "start_ts"));
-  AIQL_ASSIGN_OR_RETURN(record.end_ts, ParseInt(fields[1], "end_ts"));
-  AIQL_ASSIGN_OR_RETURN(int64_t agent, ParseInt(fields[2], "agent"));
-  record.agent_id = static_cast<AgentId>(agent);
+  AIQL_ASSIGN_OR_RETURN(record.start_ts,
+                        ParseInt<Timestamp>(fields[0], "start_ts"));
+  AIQL_ASSIGN_OR_RETURN(record.end_ts,
+                        ParseInt<Timestamp>(fields[1], "end_ts"));
+  AIQL_ASSIGN_OR_RETURN(record.agent_id, ParseInt<AgentId>(fields[2], "agent"));
   AIQL_ASSIGN_OR_RETURN(record.op, ParseOpType(fields[3]));
-  AIQL_ASSIGN_OR_RETURN(int64_t amount, ParseInt(fields[4], "amount"));
-  record.amount = static_cast<uint64_t>(amount);
-  AIQL_ASSIGN_OR_RETURN(int64_t subj_pid, ParseInt(fields[5], "subj_pid"));
+  AIQL_ASSIGN_OR_RETURN(record.amount, ParseInt<uint64_t>(fields[4], "amount"));
   record.subject.agent_id = record.agent_id;
-  record.subject.pid = static_cast<uint32_t>(subj_pid);
+  AIQL_ASSIGN_OR_RETURN(record.subject.pid,
+                        ParseInt<uint32_t>(fields[5], "subj_pid"));
   record.subject.exe_name = Unescape(fields[6]);
   record.subject.user = Unescape(fields[7]);
 
@@ -145,10 +156,9 @@ Result<EventRecord> ParseLogLine(std::string_view line) {
       return Status::Corruption("proc object expects 13 fields");
     }
     ProcessRef proc;
-    AIQL_ASSIGN_OR_RETURN(int64_t oagent, ParseInt(fields[9], "obj agent"));
-    AIQL_ASSIGN_OR_RETURN(int64_t opid, ParseInt(fields[10], "obj pid"));
-    proc.agent_id = static_cast<AgentId>(oagent);
-    proc.pid = static_cast<uint32_t>(opid);
+    AIQL_ASSIGN_OR_RETURN(proc.agent_id,
+                          ParseInt<AgentId>(fields[9], "obj agent"));
+    AIQL_ASSIGN_OR_RETURN(proc.pid, ParseInt<uint32_t>(fields[10], "obj pid"));
     proc.exe_name = Unescape(fields[11]);
     proc.user = Unescape(fields[12]);
     record.object = std::move(proc);
@@ -157,8 +167,8 @@ Result<EventRecord> ParseLogLine(std::string_view line) {
       return Status::Corruption("file object expects 11 fields");
     }
     FileRef file;
-    AIQL_ASSIGN_OR_RETURN(int64_t oagent, ParseInt(fields[9], "obj agent"));
-    file.agent_id = static_cast<AgentId>(oagent);
+    AIQL_ASSIGN_OR_RETURN(file.agent_id,
+                          ParseInt<AgentId>(fields[9], "obj agent"));
     file.path = Unescape(fields[10]);
     record.object = std::move(file);
   } else if (kind == "net") {
@@ -166,14 +176,14 @@ Result<EventRecord> ParseLogLine(std::string_view line) {
       return Status::Corruption("net object expects 15 fields");
     }
     NetworkRef net;
-    AIQL_ASSIGN_OR_RETURN(int64_t oagent, ParseInt(fields[9], "obj agent"));
-    AIQL_ASSIGN_OR_RETURN(int64_t sport, ParseInt(fields[11], "src_port"));
-    AIQL_ASSIGN_OR_RETURN(int64_t dport, ParseInt(fields[13], "dst_port"));
-    net.agent_id = static_cast<AgentId>(oagent);
+    AIQL_ASSIGN_OR_RETURN(net.agent_id,
+                          ParseInt<AgentId>(fields[9], "obj agent"));
+    AIQL_ASSIGN_OR_RETURN(net.src_port,
+                          ParseInt<uint16_t>(fields[11], "src_port"));
+    AIQL_ASSIGN_OR_RETURN(net.dst_port,
+                          ParseInt<uint16_t>(fields[13], "dst_port"));
     net.src_ip = Unescape(fields[10]);
-    net.src_port = static_cast<uint16_t>(sport);
     net.dst_ip = Unescape(fields[12]);
-    net.dst_port = static_cast<uint16_t>(dport);
     net.protocol = Unescape(fields[14]);
     record.object = std::move(net);
   } else {

@@ -18,8 +18,7 @@ std::vector<ShardRange> EvenAgentRanges(size_t num_shards, AgentId min_agent,
   uint64_t begin = min_agent;
   for (size_t i = 0; i < num_shards; ++i) {
     uint64_t end = begin + width + (i < extra ? 1 : 0);
-    ranges.push_back(ShardRange{static_cast<AgentId>(begin),
-                                static_cast<AgentId>(end)});
+    ranges.push_back(ShardRange{static_cast<AgentId>(begin), end});
     begin = end;
   }
   return ranges;

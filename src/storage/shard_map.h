@@ -34,14 +34,18 @@ namespace aiql {
 
 class TieredStore;
 
-/// Half-open agent range [begin, end) owned by one shard.
+/// Half-open agent range [begin, end) owned by one shard. `end` is 64-bit
+/// so that a range can own the top agent id (end = 2^32).
 struct ShardRange {
   AgentId begin = 0;
-  AgentId end = 0;
+  uint64_t end = 0;
 
   bool Contains(AgentId agent) const { return agent >= begin && agent < end; }
   bool operator==(const ShardRange&) const = default;
 };
+
+/// The range owning every agent id, [0, 2^32).
+inline constexpr ShardRange kAllAgents{0, uint64_t{1} << 32};
 
 /// Splits [min_agent, max_agent] into `num_shards` contiguous ranges of
 /// near-equal width (the leading ranges absorb the remainder). More shards

@@ -107,7 +107,7 @@ constexpr const char* kScanQuery = "proc p1 write file f1 as e1 return p1, f1";
 
 EngineOptions FastRetryOptions(ShardPolicy policy) {
   EngineOptions options;
-  options.shard_policy = policy;
+  options.default_limits.shard_policy = policy;
   options.shard_retry_backoff = std::chrono::milliseconds(1);
   return options;
 }
@@ -244,7 +244,9 @@ TEST_F(DegradedExecTest, DeadlineVsSlowShardStrictAndPartial) {
   }
   {
     AiqlEngine engine(&world->map, FastRetryOptions(ShardPolicy::kPartial));
-    QueryContext ctx(limits);
+    QueryLimits partial_limits = limits;
+    partial_limits.shard_policy = ShardPolicy::kPartial;
+    QueryContext ctx(partial_limits);
     auto start = std::chrono::steady_clock::now();
     auto result = engine.Execute(kScanQuery, &ctx);
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -497,6 +499,40 @@ TEST_F(DegradedExecTest, TieredShardReopenTransientRetryRecovers) {
   ASSERT_EQ(result->degraded.shard_status.size(), 4u);
   EXPECT_EQ(result->degraded.shard_status[2].attempts, 2);
   EXPECT_FALSE(result->degraded.shard_status[2].dropped);
+}
+
+TEST_F(DegradedExecTest, OneShardMapFailsOnceWithItsOwnCode) {
+  // A fully demoted tiered store as the only shard of a map: the map runs
+  // exactly like the single store, so even under the partial policy a
+  // reopen fault is not retried, dropped or wrapped in kUnavailable.
+  auto world = BuildTieredFaultWorld(40);
+  ASSERT_NE(world, nullptr);
+  ShardMap one;
+  ASSERT_TRUE(one.AddShard(world->tiered.get(), kAllAgents).ok());
+  AiqlEngine engine(&one, FastRetryOptions(ShardPolicy::kPartial));
+  TrackRequest request;
+  request.type = EntityType::kFile;
+  request.name_like = "/data/a3_%";
+  auto clean = engine.Execute(kScanQuery);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(clean->table.num_rows(), 40u);
+  EXPECT_FALSE(clean->degraded.partial);
+  EXPECT_TRUE(clean->degraded.shard_status.empty());
+  ASSERT_TRUE(engine.Track(request).ok());
+  world->tiered->cache()->EraseOwner(world->tiered.get());
+
+  ASSERT_TRUE(Failpoint::Configure("retention.reopen=error(IOError)").ok());
+  auto result = engine.Execute(kScanQuery);
+  EXPECT_EQ(Failpoint::HitCount("retention.reopen"), 1u);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+
+  Failpoint::ClearAll();
+  ASSERT_TRUE(Failpoint::Configure("retention.reopen=error(IOError)").ok());
+  auto tracked = engine.Track(request);
+  EXPECT_EQ(Failpoint::HitCount("retention.reopen"), 1u);
+  ASSERT_FALSE(tracked.ok());
+  EXPECT_EQ(tracked.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(DegradedExecTest, TieredShardMemoryBudgetSplit) {

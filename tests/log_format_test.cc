@@ -69,6 +69,43 @@ TEST(LogFormatTest, RejectsMalformedLines) {
       ParseLogLine("1\t2\t1\twrite\t0\t1\ta\tb\tpipe\t1\t/f").ok());
   EXPECT_FALSE(  // unknown op
       ParseLogLine("1\t2\t1\tfrobnicate\t0\t1\ta\tb\tfile\t1\t/f").ok());
+
+  // Values outside their field's type are rejected, naming the field, not
+  // narrowed into another host, pid, port or amount.
+  struct OutOfRange {
+    const char* line;
+    const char* field;
+  };
+  const OutOfRange cases[] = {
+      {"1\t2\t4294967297\twrite\t0\t1\ta\tb\tfile\t1\t/f", "agent"},
+      {"1\t2\t-1\twrite\t0\t1\ta\tb\tfile\t1\t/f", "agent"},
+      {"1\t2\t1\twrite\t-5\t1\ta\tb\tfile\t1\t/f", "amount"},
+      {"1\t2\t1\twrite\t0\t4294967296\ta\tb\tfile\t1\t/f", "subj_pid"},
+      {"1\t2\t1\twrite\t0\t1\ta\tb\tfile\t4294967297\t/f", "obj agent"},
+      {"1\t2\t1\tstart\t0\t1\ta\tb\tproc\t1\t-2\tc\td", "obj pid"},
+      {"1\t2\t1\tconnect\t0\t1\ta\tb\tnet\t1\t10.0.0.1\t65536\t"
+       "10.0.0.2\t80\ttcp",
+       "src_port"},
+      {"1\t2\t1\tconnect\t0\t1\ta\tb\tnet\t1\t10.0.0.1\t5\t"
+       "10.0.0.2\t-80\ttcp",
+       "dst_port"},
+  };
+  for (const OutOfRange& c : cases) {
+    auto parsed = ParseLogLine(c.line);
+    ASSERT_FALSE(parsed.ok()) << c.line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << c.line;
+    EXPECT_EQ(parsed.status().message().rfind(c.field, 0), 0u)
+        << parsed.status().ToString();
+  }
+  // The top of each range still parses.
+  auto top = ParseLogLine(
+      "1\t2\t4294967295\tconnect\t18446744073709551615\t4294967295\ta\tb\t"
+      "net\t4294967295\t10.0.0.1\t65535\t10.0.0.2\t65535\ttcp");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->agent_id, UINT32_MAX);
+  EXPECT_EQ(top->amount, UINT64_MAX);
+  EXPECT_EQ(top->subject.pid, UINT32_MAX);
+  EXPECT_EQ(std::get<NetworkRef>(top->object).dst_port, 65535);
 }
 
 TEST(LogFormatTest, FileRoundTripOfAWholeScenario) {

@@ -1176,11 +1176,12 @@ TEST(OracleDiffTest, EngineMatchesBruteForceOracle) {
         std::make_unique<AiqlEngine>(store->get(), options));
   }
 
-  // Sharded axis: the same records routed into 2/4/8-way shard maps, each
-  // once database-backed and once snapshot-backed.
+  // Sharded axis: the same records routed into 1/2/4/8-way shard maps, each
+  // once database-backed and once snapshot-backed (a one-shard map runs
+  // its store's executor directly, the others scatter/gather).
   std::vector<EventRecord> records = WorldRecords(world);
   std::vector<std::unique_ptr<ShardedWorld>> sharded_worlds;
-  for (size_t num_shards : {2u, 4u, 8u}) {
+  for (size_t num_shards : {1u, 2u, 4u, 8u}) {
     for (bool snapshot_backed : {false, true}) {
       auto sharded = BuildShardedWorld(records, num_shards, snapshot_backed);
       ASSERT_NE(sharded, nullptr);
@@ -1453,7 +1454,7 @@ TEST(OracleDiffTest, ChaosFailpointAxisMatchesOracle) {
   EngineOptions strict_options;
   strict_options.shard_retry_backoff = std::chrono::milliseconds(1);
   EngineOptions partial_options = strict_options;
-  partial_options.shard_policy = ShardPolicy::kPartial;
+  partial_options.default_limits.shard_policy = ShardPolicy::kPartial;
 
   Rng rng(seed * 104729);
   int executed = 0;

@@ -4,11 +4,14 @@
 // applies flow direction, time-monotonic bounds with widening, the
 // op / entity-type / window / agent filters and the hop window. Entities
 // are named by attribute key, so one reference covers a single database,
-// a lazily opened snapshot and 2- and 4-shard maps alike. Untruncated runs
+// a lazily opened snapshot, a fully demoted tiered store with a tiny cache
+// budget and 2-, 4- and 8-shard maps alike. Untruncated runs
 // only (no fanout or node budget, depth far beyond the closure); depth is
 // not compared, since it records discovery order rather than the closure.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -31,6 +34,7 @@
 #include "storage/database.h"
 #include "storage/shard_map.h"
 #include "storage/snapshot.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 namespace {
@@ -227,8 +231,9 @@ struct Backend {
   std::function<std::vector<ReadView>()> open_views;
 };
 
-/// A world's records served four ways: one database, a v2 snapshot of it,
-/// and 2- and 4-shard agent-range maps.
+/// A world's records served six ways: one database, a v2 snapshot of it, a
+/// fully demoted tiered store with a 4 KiB cold-cache budget, and 2-, 4-
+/// and 8-shard agent-range maps.
 class World {
  public:
   World(const std::vector<EventRecord>& records, AgentId max_agent,
@@ -242,8 +247,26 @@ class World {
     auto snap = SnapshotStore::Open(snap_path_);
     EXPECT_TRUE(snap.ok()) << snap.status().ToString();
     if (snap.ok()) snap_ = std::move(*snap);
-    for (size_t num_shards : {2u, 4u}) {
-      auto ranges = EvenAgentRanges(num_shards, 1, max_agent);
+    tiered_dir_ = "/tmp/aiql_provenance_reference_" + tag + "_" +
+                  std::to_string(static_cast<long>(getpid()));
+    RetentionOptions retention;
+    retention.dir = tiered_dir_;
+    retention.hot_buckets = -1;  // demote every sealed partition
+    retention.compact_min_partitions = 0;
+    retention.memory_budget_bytes = 4096;
+    auto tiered = TieredStore::Create(StorageOptions{}, retention);
+    EXPECT_TRUE(tiered.ok()) << tiered.status().ToString();
+    if (tiered.ok()) {
+      tiered_ = std::move(*tiered);
+      EXPECT_TRUE(tiered_->AppendBatch(records).ok());
+      EXPECT_TRUE(tiered_->Seal().ok());
+      EXPECT_TRUE(tiered_->CompactOnce().ok());
+      EXPECT_EQ(tiered_->stats().hot_partitions, 0u);
+    }
+    for (size_t num_shards : {2u, 4u, 8u}) {
+      // More shards than agents leaves the trailing shards empty.
+      auto ranges = EvenAgentRanges(
+          num_shards, 1, std::max<AgentId>(max_agent, num_shards));
       auto routed = RouteRecordsByAgent(ranges, records);
       EXPECT_TRUE(routed.ok()) << routed.status().ToString();
       if (!routed.ok()) return;
@@ -263,6 +286,13 @@ class World {
   ~World() {
     snap_.reset();
     if (!snap_path_.empty()) std::remove(snap_path_.c_str());
+    tiered_.reset();
+    std::remove((tiered_dir_ + "/DATA").c_str());
+    for (uint64_t seq = 0; seq <= 64; ++seq) {
+      std::remove((tiered_dir_ + "/FOOTER." + std::to_string(seq)).c_str());
+    }
+    std::remove((tiered_dir_ + "/FOOTER.tmp").c_str());
+    rmdir(tiered_dir_.c_str());
   }
 
   std::vector<Backend> Backends() const {
@@ -289,6 +319,19 @@ class World {
             return views;
           }});
     }
+    if (tiered_ != nullptr) {
+      const TieredStore* tiered = tiered_.get();
+      out.push_back(Backend{
+          "tiered tiny-budget", std::make_unique<AiqlEngine>(tiered),
+          [tiered](uint32_t) -> const EntityStore& {
+            return tiered->db().entities();
+          },
+          [tiered] {
+            std::vector<ReadView> views;
+            views.push_back(tiered->OpenReadView());
+            return views;
+          }});
+    }
     for (const auto& owned : maps_) {
       const ShardMap* map = owned.get();
       out.push_back(Backend{
@@ -306,6 +349,8 @@ class World {
   std::unique_ptr<AuditDatabase> db_;
   std::string snap_path_;
   std::unique_ptr<SnapshotStore> snap_;
+  std::string tiered_dir_;
+  std::unique_ptr<TieredStore> tiered_;
   std::vector<std::unique_ptr<AuditDatabase>> shard_dbs_;
   std::vector<std::unique_ptr<ShardMap>> maps_;
 };

@@ -523,6 +523,46 @@ TEST_F(ServerTest, SessionsSwitchBackendsIndependently) {
   server.Stop();
 }
 
+TEST_F(ServerTest, ShardPolicyIsPerSessionOnOneEngine) {
+  // Both sessions query the server's one sharded engine; the shard policy
+  // travels with each query, so the same shard fault degrades one session
+  // and fails the other.
+  World& world = GetWorld();
+  AiqlServer server(world.db.get(), &world.shards);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient partial = TestClient::Connect(server.port());
+  TestClient strict = TestClient::Connect(server.port());
+  auto set = partial.Call(EncodeSetOption("partial", "on"));
+  ASSERT_TRUE(set.ok());
+  ASSERT_EQ(set->type, MsgType::kOptionOk);
+
+  const std::string query = "proc p read file f return distinct p";
+  auto clean = strict.Call(EncodeTextRequest(MsgType::kQuery, query));
+  ASSERT_TRUE(clean.ok());
+  ASSERT_EQ(clean->type, MsgType::kQueryOk);
+
+  ASSERT_TRUE(
+      Failpoint::Configure("shard.scatter=error(IOError)@arg1").ok());
+  auto degraded = partial.Call(EncodeTextRequest(MsgType::kQuery, query));
+  ASSERT_TRUE(degraded.ok());
+  ASSERT_EQ(degraded->type, MsgType::kQueryOk);
+  EXPECT_EQ(degraded->query.degraded.rfind("PARTIAL result (1 shard(s) "
+                                           "failed",
+                                           0),
+            0u)
+      << degraded->query.degraded;
+  EXPECT_NE(degraded->query.degraded.find("shard 1: DROPPED"),
+            std::string::npos)
+      << degraded->query.degraded;
+  EXPECT_LE(degraded->query.table.num_rows(), clean->query.table.num_rows());
+
+  auto failed = strict.Call(EncodeTextRequest(MsgType::kQuery, query));
+  ASSERT_TRUE(failed.ok());
+  ASSERT_EQ(failed->type, MsgType::kError);
+  EXPECT_EQ(failed->error.code(), StatusCode::kUnavailable);
+  server.Stop();
+}
+
 TEST_F(ServerTest, TortureMalformedFramesNeverKillTheServer) {
   World& world = GetWorld();
   AiqlServer server(world.db.get(), &world.shards);

@@ -315,6 +315,22 @@ TEST(ShardMapTest, EvenAgentRangesCoverAndBalance) {
   EXPECT_EQ(three[2].end, 11u);
   EXPECT_EQ(three[0].end, three[1].begin);
   EXPECT_EQ(three[1].end, three[2].begin);
+
+  // The whole agent id space: the last range ends at 2^32, so it owns the
+  // top agent id and a map accepts it.
+  auto full = EvenAgentRanges(2, 0, UINT32_MAX);
+  ASSERT_EQ(full.size(), 2u);
+  EXPECT_EQ(full[0].begin, 0u);
+  EXPECT_EQ(full[0].end, uint64_t{1} << 31);
+  EXPECT_EQ(full[1].begin, uint64_t{1} << 31);
+  EXPECT_EQ(full[1].end, uint64_t{1} << 32);
+  EXPECT_TRUE(full[1].Contains(UINT32_MAX));
+  EXPECT_EQ(full[1].end, kAllAgents.end);
+  AuditDatabase db;
+  ShardMap map;
+  EXPECT_TRUE(map.AddShard(&db, full[0]).ok());
+  EXPECT_TRUE(map.AddShard(&db, full[1]).ok());
+  EXPECT_EQ(map.ShardForAgent(UINT32_MAX), 1);
 }
 
 TEST(ShardMapTest, RouteRecordsByAgentPartitionsAndRejectsUnowned) {
