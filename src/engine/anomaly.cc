@@ -179,7 +179,8 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
   std::vector<Event> events;
   AIQL_ASSIGN_OR_RETURN(
       auto partitions,
-      view_->SelectPartitions(pattern.time_range, analyzed.agent_filter));
+      view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
+                              pattern.op_mask));
   stats.partitions_scanned = partitions.size();
   uint64_t since_check = 0;
   for (const auto& [key, partition] : partitions) {

@@ -210,7 +210,8 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
     // Partition-parallel scan (zero-copy: pointers into sealed partitions).
     AIQL_ASSIGN_OR_RETURN(
         auto partitions,
-        view_->SelectPartitions(pattern.time_range, analyzed.agent_filter));
+        view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
+                                pattern.op_mask));
     stats.partitions_scanned += partitions.size();
     std::vector<std::vector<const Event*>> local_matches(partitions.size());
     std::vector<uint64_t> local_scanned(partitions.size(), 0);

@@ -9,6 +9,7 @@
 #include "common/bitset.h"
 #include "common/failpoint.h"
 #include "engine/shard_merge.h"
+#include "storage/key_summary.h"
 #include "storage/shard_map.h"
 
 namespace aiql {
@@ -229,8 +230,11 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
             scan_range.end, SatAdd(SatAdd(max_bound, options.hop_window), 1));
       }
     }
+    // No admissible range or no partition that can match: the frontier is
+    // fully expanded (with nothing found), not cut short by a budget.
     if (scan_range.empty()) {
       record_hop_latency();
+      frontier.clear();
       break;
     }
 
@@ -239,12 +243,30 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
     // injection site, arg = shard index): transient faults retry, and an
     // exhausted shard fails the run with kUnavailable or, under the partial
     // policy, is dropped. A single store makes one attempt and returns its
-    // storage error with its own code.
+    // storage error with its own code. Selection also prunes on directory
+    // statistics: a partition with no event of a followed op, or a cold
+    // partition whose entity summary misses every frontier key in the
+    // shard, cannot yield a candidate and is never materialized.
     std::vector<ShardPartition> partitions;
+    SummaryHashes keys;
     for (size_t s = 0; s < num_shards; ++s) {
       if (shard_dropped[s]) continue;
+      keys.clear();
+      for (uint32_t slot : frontier) {
+        EntityId local = local_ids[static_cast<size_t>(slot) * num_shards + s];
+        if (local == kInvalidEntityId) continue;
+        const EntityType type = result.nodes[slot].type;
+        if (object_side_mask != 0) {
+          keys.push_back(SummaryHash(ObjectSummaryKey(type, local)));
+        }
+        if (type == EntityType::kProcess && subject_side_mask != 0) {
+          keys.push_back(SummaryHash(SubjectSummaryKey(local)));
+        }
+      }
       auto select = [&]() -> Result<SelectedPartitions> {
-        return views[s].SelectPartitions(scan_range, options.agents);
+        return views[s].SelectPartitions(
+            scan_range, options.agents, object_side_mask | subject_side_mask,
+            &keys);
       };
       int attempts = 1;
       Result<SelectedPartitions> selected =
@@ -305,6 +327,7 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
     result.stats.partitions_selected += partitions.size();
     if (partitions.empty()) {
       record_hop_latency();
+      frontier.clear();
       break;
     }
 

@@ -51,8 +51,8 @@ inline constexpr OpMask kSubjectToObjectOps =
 inline constexpr OpMask kObjectToSubjectOps =
     OpBit(OpType::kRead) | OpBit(OpType::kExecute) | OpBit(OpType::kAccept);
 
-inline constexpr OpMask kAllOps =
-    kSubjectToObjectOps | kObjectToSubjectOps;
+static_assert((kSubjectToObjectOps | kObjectToSubjectOps) == kAllOps,
+              "every operation has a flow direction");
 
 /// Budgets and filters for one tracking run.
 struct ProvenanceOptions {

@@ -8,28 +8,16 @@ namespace aiql {
 Result<double> EstimateCardinality(
     const CompiledPattern& pattern, const ReadView& view,
     const std::optional<std::vector<AgentId>>& agents) {
-  AIQL_ASSIGN_OR_RETURN(auto partitions,
-                        view.SelectPartitions(pattern.time_range, agents));
-
-  double op_events = 0;       // events with a matching operation, in range
-  double subject_events = 0;  // events whose subject exe matches
-  bool use_exe_counts = !pattern.subject.matched_exe_ids.empty();
-  for (const auto& [key, partition] : partitions) {
-    // Posting lists give the exact op count inside the pattern's time
-    // range (zone-map clipped). Every partition in a read view is sealed,
-    // so the postings exist.
-    op_events += static_cast<double>(
-        partition->OpCountInRange(pattern.op_mask, pattern.time_range));
-    if (use_exe_counts) {
-      for (StringId exe : pattern.subject.matched_exe_ids) {
-        subject_events += static_cast<double>(partition->SubjectExeCount(exe));
-      }
-    }
-  }
-
-  double estimate = op_events;
-  if (use_exe_counts) {
-    estimate = std::min(estimate, subject_events);
+  // Exact counts over every partition the range and agents select: events
+  // of a matching op starting in range, and events whose subject exe
+  // matches. Directory statistics serve both.
+  AIQL_ASSIGN_OR_RETURN(
+      ReadView::EstimateCounts counts,
+      view.CountForEstimate(pattern.time_range, agents, pattern.op_mask,
+                            pattern.subject.matched_exe_ids));
+  double estimate = static_cast<double>(counts.op_events);
+  if (!pattern.subject.matched_exe_ids.empty()) {
+    estimate = std::min(estimate, static_cast<double>(counts.exe_events));
   } else if (pattern.subject.candidates.has_value()) {
     // Non-exe subject constraints: scale by candidate fraction.
     size_t universe = view.entities().NumEntities(EntityType::kProcess);

@@ -54,9 +54,10 @@ struct EngineOptions {
 };
 
 /// Estimates the number of events matching `pattern` within the sealed
-/// partitions the read view selects for its time range and `agents`.
-/// Fails only on snapshot-backed views whose selected partitions cannot be
-/// materialized (I/O error or corruption).
+/// partitions the read view selects for its time range and `agents`, from
+/// directory statistics (ReadView::CountForEstimate). Fails only when a
+/// cold partition the range cuts through cannot be materialized (I/O error
+/// or corruption).
 Result<double> EstimateCardinality(
     const CompiledPattern& pattern, const ReadView& view,
     const std::optional<std::vector<AgentId>>& agents);

@@ -331,7 +331,8 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
             AIQL_RETURN_IF_ERROR(
                 Failpoint::Hit("shard.scatter", static_cast<int64_t>(s)));
             return views[s].SelectPartitions(ranges[p],
-                                             analyzed.agent_filter);
+                                             analyzed.agent_filter,
+                                             compiled[s][p].op_mask);
           });
       shard_status[s].attempts = std::max(shard_status[s].attempts, attempts);
       if (!selected.ok()) {

@@ -68,6 +68,7 @@ inline constexpr OpMask OpBit(OpType op) {
 inline constexpr bool OpMaskContains(OpMask mask, OpType op) {
   return (mask & OpBit(op)) != 0;
 }
+inline constexpr OpMask kAllOps = static_cast<OpMask>((1u << kNumOpTypes) - 1);
 
 // ---------------------------------------------------------------------------
 // Stored (interned) entity representations.

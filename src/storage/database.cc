@@ -3,45 +3,184 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
+#include "storage/key_summary.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_format.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
-                            bool partitioning_enabled, AgentId agent,
-                            Timestamp min_ts, Timestamp max_ts,
-                            uint64_t num_events) {
+                            OpMask ops, const SummaryHashes* keys,
+                            bool partitioning_enabled,
+                            const PartitionStats& stats) {
   if (agents.has_value() && partitioning_enabled) {
-    bool found =
-        std::find(agents->begin(), agents->end(), agent) != agents->end();
+    bool found = std::find(agents->begin(), agents->end(),
+                           stats.key.agent_id) != agents->end();
     if (!found) return false;
   }
-  if (num_events == 0) return false;
-  TimeRange span{min_ts, max_ts + 1};
-  return range.Overlaps(span);
+  if (stats.events == 0) return false;
+  // [min_ts, max_ts] overlaps [range.start, range.end), compared without
+  // forming max_ts + 1, which overflows for an event ending at INT64_MAX.
+  if (stats.max_ts < range.start || stats.min_ts >= range.end) return false;
+  bool has_op = false;
+  for (int op = 0; op < kNumOpTypes && !has_op; ++op) {
+    has_op = ((ops >> op) & 1) != 0 && (*stats.op_counts)[op] > 0;
+  }
+  if (!has_op) return false;
+  if (keys != nullptr && stats.key_summary != nullptr) {
+    if (!SummaryMayContainAny(*stats.key_summary, *keys)) return false;
+    if (!Failpoint::Hit("storage.summary.miss", stats.key.Fold()).ok()) {
+      return false;
+    }
+  }
+  return true;
 }
+
+namespace {
+
+PartitionStats ResidentStats(const PartitionKey& key,
+                             const EventPartition& partition) {
+  return PartitionStats{key,
+                        partition.min_ts(),
+                        partition.max_ts(),
+                        partition.size(),
+                        &partition.op_counts(),
+                        nullptr};
+}
+
+/// Events of `entry`'s ops in `ops` that start inside `range`, when its op
+/// fences decide it: each fence lies wholly inside or wholly outside.
+std::optional<uint64_t> FencedOpCount(const snapfmt::PartitionDirEntry& entry,
+                                      OpMask ops, const TimeRange& range) {
+  uint64_t total = 0;
+  for (int op = 0; op < kNumOpTypes; ++op) {
+    if (((ops >> op) & 1) == 0 || entry.op_counts[op] == 0) continue;
+    const snapfmt::StartFence& fence = entry.op_fences[op];
+    if (fence.min_start_ts >= range.end || fence.max_start_ts < range.start) {
+      continue;
+    }
+    if (fence.min_start_ts < range.start || fence.max_start_ts >= range.end) {
+      return std::nullopt;
+    }
+    total += entry.op_counts[op];
+  }
+  return total;
+}
+
+uint64_t DirectoryExeCount(const snapfmt::PartitionDirEntry& entry,
+                           StringId exe) {
+  auto it = std::lower_bound(
+      entry.exe_counts.begin(), entry.exe_counts.end(), exe,
+      [](const std::pair<StringId, uint64_t>& e, StringId id) {
+        return e.first < id;
+      });
+  return it != entry.exe_counts.end() && it->first == exe ? it->second : 0;
+}
+
+}  // namespace
 
 // --- ReadView ---------------------------------------------------------------
 
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-ReadView::SelectPartitions(
-    const TimeRange& range,
-    const std::optional<std::vector<AgentId>>& agents) const {
-  if (tiered_ != nullptr) return TieredSelectPartitions(*this, range, agents);
-  if (store_ != nullptr) {
-    return store_->SelectPartitions(range, agents, pins_.get());
-  }
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  for (const auto& [key, partition] : partitions_) {
-    if (!PartitionStatsSelected(range, agents, options_->enable_partitioning,
-                                key.agent_id, partition->min_ts(),
-                                partition->max_ts(), partition->size())) {
-      continue;
+template <typename Fn>
+Status ReadView::ForEachPartition(const Fn& fn) const {
+  // Both lists are ordered by (bucket, agent, seq), and within one
+  // (bucket, agent) the cold partitions carry the lower seqs (they were
+  // sealed, and demoted, before any resident sibling existed). Emitting
+  // cold before resident on a key tie therefore preserves the all-hot
+  // order, which is what makes tiered results byte-identical.
+  size_t hot = 0;
+  size_t cold = 0;
+  while (hot < partitions_.size() || cold < cold_.size()) {
+    bool take_cold = hot == partitions_.size();
+    if (!take_cold && cold < cold_.size()) {
+      const PartitionKey& hk = partitions_[hot].first;
+      take_cold = std::pair<int64_t, AgentId>(cold_[cold]->bucket,
+                                              cold_[cold]->agent) <=
+                  std::pair<int64_t, AgentId>(hk.bucket, hk.agent_id);
     }
-    out.emplace_back(key, partition);
+    if (take_cold) {
+      AIQL_RETURN_IF_ERROR(fn(cold_[cold]->Stats(), nullptr, cold));
+      ++cold;
+    } else {
+      const auto& [key, partition] = partitions_[hot++];
+      AIQL_RETURN_IF_ERROR(fn(ResidentStats(key, *partition), partition, 0));
+    }
   }
+  return Status::OK();
+}
+
+Result<const EventPartition*> ReadView::MaterializeCold(size_t index) const {
+  std::shared_ptr<const EventPartition> pin;
+  if (tiered_ != nullptr) {
+    const auto& dir =
+        *static_cast<const TieredStore::ColdDir*>(tiered_cold_.get());
+    AIQL_ASSIGN_OR_RETURN(pin, tiered_->MaterializeCold(*dir[index]));
+  } else {
+    AIQL_ASSIGN_OR_RETURN(pin, store_->MaterializePartition(index));
+  }
+  const EventPartition* partition = pin.get();
+  pins_->Add(std::move(pin));
+  return partition;
+}
+
+Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
+ReadView::SelectPartitions(const TimeRange& range,
+                           const std::optional<std::vector<AgentId>>& agents,
+                           OpMask ops, const SummaryHashes* keys) const {
+  const bool partitioned = options_->enable_partitioning;
+  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
+  AIQL_RETURN_IF_ERROR(ForEachPartition(
+      [&](const PartitionStats& stats, const EventPartition* partition,
+          size_t cold) -> Status {
+        if (!PartitionStatsSelected(range, agents, ops, keys, partitioned,
+                                    stats)) {
+          return Status::OK();
+        }
+        if (partition == nullptr) {
+          AIQL_ASSIGN_OR_RETURN(partition, MaterializeCold(cold));
+        }
+        out.emplace_back(stats.key, partition);
+        return Status::OK();
+      }));
   return out;
+}
+
+Result<ReadView::EstimateCounts> ReadView::CountForEstimate(
+    const TimeRange& range, const std::optional<std::vector<AgentId>>& agents,
+    OpMask ops, const std::vector<StringId>& exes) const {
+  const bool partitioned = options_->enable_partitioning;
+  EstimateCounts counts;
+  AIQL_RETURN_IF_ERROR(ForEachPartition(
+      [&](const PartitionStats& stats, const EventPartition* partition,
+          size_t cold) -> Status {
+        if (!PartitionStatsSelected(range, agents, kAllOps, nullptr,
+                                    partitioned, stats)) {
+          return Status::OK();
+        }
+        if (partition == nullptr) {
+          const snapfmt::PartitionDirEntry& entry = *cold_[cold];
+          for (StringId exe : exes) {
+            counts.exe_events += DirectoryExeCount(entry, exe);
+          }
+          if (std::optional<uint64_t> fenced =
+                  FencedOpCount(entry, ops, range)) {
+            counts.op_events += *fenced;
+            return Status::OK();
+          }
+          AIQL_ASSIGN_OR_RETURN(partition, MaterializeCold(cold));
+        } else {
+          for (StringId exe : exes) {
+            counts.exe_events += partition->SubjectExeCount(exe);
+          }
+        }
+        // Posting lists give the exact op count inside the range
+        // (zone-map clipped, then binary searched).
+        counts.op_events += partition->OpCountInRange(ops, range);
+        return Status::OK();
+      }));
+  return counts;
 }
 
 // --- AuditDatabase ----------------------------------------------------------
@@ -404,13 +543,13 @@ AuditDatabase::SelectPartitions(
   std::shared_lock<std::shared_mutex> lock(sync_->state_mu);
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
   for (const auto& [key, partition] : partitions_) {
-    AgentId agent = std::get<1>(key);
-    if (!PartitionStatsSelected(range, agents, options_.enable_partitioning,
-                                agent, partition->min_ts(),
-                                partition->max_ts(), partition->size())) {
+    PartitionKey pk{std::get<0>(key), std::get<1>(key)};
+    if (!PartitionStatsSelected(range, agents, kAllOps, nullptr,
+                                options_.enable_partitioning,
+                                ResidentStats(pk, *partition))) {
       continue;
     }
-    out.emplace_back(PartitionKey{std::get<0>(key), agent}, partition.get());
+    out.emplace_back(pk, partition.get());
   }
   return out;
 }

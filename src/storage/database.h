@@ -40,6 +40,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -105,6 +106,10 @@ class SnapshotStore;
 class TieredStore;
 class ReadView;
 
+namespace snapfmt {
+struct PartitionDirEntry;
+}  // namespace snapfmt
+
 /// Keeps cold-partition materializations alive for the lifetime of the
 /// ReadView that selected them. A memory-budgeted PartitionCache may evict
 /// a partition while a query is still scanning it; the query's pin (a
@@ -125,20 +130,39 @@ struct PartitionPinSet {
   }
 };
 
-/// Selection over a tiered view's hot + cold partitions; defined in
-/// storage/tiered.cc (the storage library links both translation units).
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                       const std::optional<std::vector<AgentId>>& agents);
+/// What partition selection knows about one partition without
+/// materializing it: a resident partition's own statistics, or a cold
+/// partition's snapshot directory entry.
+struct PartitionStats {
+  PartitionKey key;
+  Timestamp min_ts = INT64_MAX;
+  Timestamp max_ts = INT64_MIN;  ///< latest event end
+  uint64_t events = 0;
+  const std::array<uint64_t, kNumOpTypes>* op_counts = nullptr;
+  /// Entity summary (storage/key_summary.h) of a cold partition; null for
+  /// a resident one, whose exact reverse indexes a hop probes directly.
+  const std::string* key_summary = nullptr;
+};
 
-/// Shared partition-selection predicate of the batch, view, and snapshot
-/// read paths, evaluated on partition statistics alone (so a lazily loaded
-/// snapshot partition can be ruled out without materializing it).
+/// A provenance hop's frontier keys, hashed for summary probes
+/// (SummaryHash of SubjectSummaryKey / ObjectSummaryKey).
+using SummaryHashes = std::vector<uint64_t>;
+
+/// The one partition-selection predicate of every read path (database,
+/// snapshot and tiered views, and the raw database API), evaluated on
+/// statistics alone so a cold partition that cannot match is never
+/// materialized. A partition is selected when it is non-empty, its agent
+/// is in `agents` (nullopt = all; ignored without partitioning), its
+/// [min_ts, max_ts] overlaps `range`, it holds an event of some op in
+/// `ops`, and — when `keys` is given and the partition carries a summary —
+/// its summary may hold one of `keys`. The `storage.summary.miss`
+/// failpoint (arg = PartitionKey::Fold()) forces a summary miss; tests use
+/// it to prove that a false negative would be caught.
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
-                            bool partitioning_enabled, AgentId agent,
-                            Timestamp min_ts, Timestamp max_ts,
-                            uint64_t num_events);
+                            OpMask ops, const SummaryHashes* keys,
+                            bool partitioning_enabled,
+                            const PartitionStats& stats);
 
 /// A consistent snapshot of the database's sealed partitions plus aggregate
 /// statistics, opened via AuditDatabase::OpenReadView(). The view holds the
@@ -149,10 +173,11 @@ bool PartitionStatsSelected(const TimeRange& range,
 /// successive views observe monotonically non-decreasing event counts.
 ///
 /// A view can also be backed by a SnapshotStore (a lazily opened v2
-/// snapshot): partition selection then runs on the store's persisted
-/// statistics and materializes only the partitions the query touches, which
-/// is why SelectPartitions returns a Result — a corrupt or truncated
-/// segment surfaces as a clean Status at selection time.
+/// snapshot) or a TieredStore (hot partitions plus a cold directory):
+/// partition selection then runs on the persisted directory statistics and
+/// materializes only the partitions the query can match, which is why
+/// SelectPartitions returns a Result — a corrupt or truncated segment
+/// surfaces as a clean Status at selection time.
 /// Move-only; cheap to open (one pointer copy per sealed partition).
 class ReadView {
  public:
@@ -178,31 +203,59 @@ class ReadView {
     return partitions_;
   }
 
-  /// Sealed partitions overlapping `range`, optionally restricted to
-  /// `agents` (nullopt = all agents). Ordered by (bucket, agent). On a
-  /// snapshot-backed view this materializes (and caches) exactly the
-  /// selected partitions, and fails with IOError/Corruption if a segment
-  /// cannot be read back intact.
+  /// Sealed partitions that PartitionStatsSelected admits for `range`,
+  /// `agents` (nullopt = all agents), `ops` and, for a provenance hop, the
+  /// frontier `keys`. Ordered by (bucket, agent, seq). On a snapshot- or
+  /// tiered-backed view this materializes (and caches) exactly the
+  /// selected cold partitions, and fails with IOError/Corruption if a
+  /// segment cannot be read back intact.
   Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
   SelectPartitions(const TimeRange& range,
-                   const std::optional<std::vector<AgentId>>& agents) const;
+                   const std::optional<std::vector<AgentId>>& agents,
+                   OpMask ops, const SummaryHashes* keys = nullptr) const;
+
+  /// The exact counts the pruning-power estimator reads, over the
+  /// partitions `range` and `agents` select (any op).
+  struct EstimateCounts {
+    uint64_t op_events = 0;   ///< op in `ops`, start_ts in `range`
+    uint64_t exe_events = 0;  ///< subject exe in `exes`
+  };
+
+  /// Counts from directory statistics. A cold partition is materialized
+  /// only when `range` cuts through the start fence of one of its `ops`,
+  /// which the directory alone cannot resolve.
+  Result<EstimateCounts> CountForEstimate(
+      const TimeRange& range,
+      const std::optional<std::vector<AgentId>>& agents, OpMask ops,
+      const std::vector<StringId>& exes) const;
 
  private:
   friend class AuditDatabase;
   friend class SnapshotStore;
   friend class TieredStore;
-  friend Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                         const std::optional<std::vector<AgentId>>& agents);
+
+  /// Calls fn(stats, resident, cold) for every partition of the view in
+  /// (bucket, agent, seq) order: a resident partition with `cold` unused,
+  /// or a cold one (`resident` null) by its index in cold_. Stops at the
+  /// first error fn returns.
+  template <typename Fn>
+  Status ForEachPartition(const Fn& fn) const;
+
+  /// Materializes cold_[index] through its store and pins it to the view.
+  Result<const EventPartition*> MaterializeCold(size_t index) const;
 
   const EntityStore* entities_ = nullptr;
   const StorageOptions* options_ = nullptr;
   std::shared_lock<std::shared_mutex> lock_;
   std::vector<std::pair<PartitionKey, const EventPartition*>> partitions_;
+  // Cold partitions of a snapshot- or tiered-backed view, as directory
+  // entries in (bucket, agent, seq) order. Within one (bucket, agent) the
+  // cold partitions carry lower seqs than any resident sibling.
+  std::vector<const snapfmt::PartitionDirEntry*> cold_;
   const SnapshotStore* store_ = nullptr;
   // Tiered backing: the owning store plus an immutable snapshot of its cold
-  // directory, captured at view-open time so selection never races
-  // background demotion/compaction/tombstoning.
+  // directory (cold_ indexes it), captured at view-open time so selection
+  // never races background demotion/compaction/tombstoning.
   const TieredStore* tiered_ = nullptr;
   std::shared_ptr<const void> tiered_cold_;
   // Created at view open for snapshot/tiered-backed views; selection adds a

@@ -38,6 +38,13 @@ struct PartitionKey {
   AgentId agent_id = 0;
 
   bool operator==(const PartitionKey&) const = default;
+
+  /// (bucket, agent) folded into one integer (bucket in the high bits,
+  /// wrapping), e.g. to aim a failpoint at one partition.
+  int64_t Fold() const {
+    return static_cast<int64_t>((static_cast<uint64_t>(bucket) << 32) |
+                                agent_id);
+  }
 };
 
 struct PartitionKeyHash {
@@ -172,6 +179,9 @@ class EventPartition {
   /// Events whose operation is `op`.
   uint64_t OpCount(OpType op) const {
     return op_counts_[static_cast<size_t>(op)];
+  }
+  const std::array<uint64_t, kNumOpTypes>& op_counts() const {
+    return op_counts_;
   }
   /// Events whose subject process has the given exe-name string id.
   uint64_t SubjectExeCount(StringId exe) const;

@@ -450,7 +450,6 @@ struct SnapshotStore::PartitionHandle {
   // a partition that was evicted while a query still pins it, `bytes`
   // remembers the footprint charged per residence. Guarded by load_mu_.
   std::weak_ptr<const EventPartition> weak;
-  std::shared_ptr<const EventPartition> strong;  // pinless-select fallback
   size_t bytes = 0;
 };
 
@@ -554,6 +553,7 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
   store->options_ = footer.options;
   store->stats_ = footer.stats;
   AIQL_RETURN_IF_ERROR(DecodeMetaSegment(meta_bytes, &store->entities_));
+  AIQL_RETURN_IF_ERROR(CheckDirectoryExes(footer, store->entities_));
 
   store->handles_.reserve(footer.partitions.size());
   for (const PartitionDirEntry& entry : footer.partitions) {
@@ -650,34 +650,6 @@ SnapshotStore::MaterializePartition(size_t index) const {
   return pin;
 }
 
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-SnapshotStore::SelectPartitions(
-    const TimeRange& range,
-    const std::optional<std::vector<AgentId>>& agents,
-    PartitionPinSet* pins) const {
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  for (size_t i = 0; i < handles_.size(); ++i) {
-    const PartitionDirEntry& entry = handles_[i]->entry;
-    if (!PartitionStatsSelected(range, agents, options_.enable_partitioning,
-                                entry.agent, entry.min_ts, entry.max_ts,
-                                entry.events)) {
-      continue;
-    }
-    AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
-                          MaterializePartition(i));
-    out.emplace_back(PartitionKey{entry.bucket, entry.agent}, pin.get());
-    if (pins != nullptr) {
-      pins->Add(std::move(pin));
-    } else if (cache_ != nullptr) {
-      // No pin set to carry ownership (direct store use in tests/tools):
-      // park the pin in the handle so the raw pointer stays valid.
-      std::lock_guard<std::mutex> lock(load_mu_);
-      handles_[i]->strong = std::move(pin);
-    }
-  }
-  return out;
-}
-
 ReadView SnapshotStore::OpenReadView() const {
   ReadView view;
   view.entities_ = &entities_;
@@ -685,6 +657,8 @@ ReadView SnapshotStore::OpenReadView() const {
   view.stats_ = stats_;
   view.visible_events_ = stats_.total_events;
   view.store_ = this;
+  view.cold_.reserve(handles_.size());
+  for (const auto& handle : handles_) view.cold_.push_back(&handle->entry);
   view.pins_ = std::make_shared<PartitionPinSet>();
   return view;
 }

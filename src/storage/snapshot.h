@@ -12,14 +12,16 @@
 //              columns delta/varint/RLE-encoded, posting lists and
 //              statistics persisted so load skips the index rebuild
 //   [footer]   segment directory: per-segment offset/length/checksum plus
-//              per-partition statistics (time bounds, event and op counts)
+//              per-partition statistics (time bounds, event and op counts,
+//              op start fences, subject-exe counts, entity summary)
 //   [trailer]  footer offset + footer checksum + magic again
 //
 // SnapshotStore::Open reads only the trailer, footer, and META segment;
-// partition segments are materialized lazily — and cached — when a query's
-// time range and agent filter select them, so cold-start latency is driven
-// by data touched, not data stored. Every section is independently
-// checksummed; truncation and bit flips surface as clean Status errors.
+// partition segments are materialized lazily — and cached — when the
+// directory statistics say a query or hop can match them, so cold-start
+// latency is driven by data touched, not data stored. Every section is
+// independently checksummed; truncation and bit flips surface as clean
+// Status errors.
 //
 // The v1 single-blob format (magic "AIQLSNP1") remains loadable through
 // LoadSnapshot, and SaveSnapshotV1 keeps writing it for compatibility tests
@@ -142,25 +144,10 @@ class SnapshotStore {
       size_t index) const;
 
   /// Opens a snapshot-backed read view over this store. The view's
-  /// SelectPartitions materializes exactly the partitions it selects. The
-  /// store must outlive the view.
+  /// SelectPartitions selects on the footer directory's statistics and
+  /// materializes exactly the partitions it selects. The store must
+  /// outlive the view.
   ReadView OpenReadView() const;
-
-  /// Sealed partitions overlapping `range` / `agents`, materializing (and
-  /// caching) each selected partition. Ordered by (bucket, agent, seq).
-  /// With a cache attached, each materialized partition is pinned into
-  /// `pins` so eviction cannot invalidate the returned pointers; passing
-  /// no pin set falls back to pinning inside the store (never reclaimed).
-  Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  SelectPartitions(const TimeRange& range,
-                   const std::optional<std::vector<AgentId>>& agents,
-                   PartitionPinSet* pins) const;
-
-  Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  SelectPartitions(const TimeRange& range,
-                   const std::optional<std::vector<AgentId>>& agents) const {
-    return SelectPartitions(range, agents, nullptr);
-  }
 
   /// Materializes every partition (full-load compat path).
   Status MaterializeAll() const;

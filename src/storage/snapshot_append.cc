@@ -130,12 +130,13 @@ Result<SnapshotAppender::RecoveredState> TryRecoverFooter(
   }
 
   SnapshotAppender::RecoveredState state;
+  AIQL_RETURN_IF_ERROR(DecodeMetaSegment(meta_bytes, &state.entities));
+  AIQL_RETURN_IF_ERROR(CheckDirectoryExes(footer, state.entities));
   state.options = footer.options;
   state.stats = footer.stats;
   state.partitions = std::move(footer.partitions);
   state.footer_seq = footer_seq;
   state.data_end = data_end;
-  AIQL_RETURN_IF_ERROR(DecodeMetaSegment(meta_bytes, &state.entities));
   return state;
 }
 

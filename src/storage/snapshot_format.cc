@@ -7,6 +7,7 @@
 
 #include "common/varint.h"
 #include "storage/entity_store.h"
+#include "storage/key_summary.h"
 #include "storage/partition.h"
 
 namespace aiql {
@@ -152,6 +153,24 @@ void PutSegmentRef(std::string* out, const SegmentRef& ref) {
   PutVarint64(out, ref.checksum);
 }
 
+/// Grain of the persisted op start fences.
+constexpr uint64_t kFenceGrain = kSecond;
+
+/// The fence of starts [min_start, max_start] in a partition spanning
+/// [min_ts, max_ts] (min_ts <= min_start <= max_start <= max_ts).
+StartFence GridFence(Timestamp min_ts, Timestamp max_ts, Timestamp min_start,
+                     Timestamp max_start) {
+  const uint64_t base = static_cast<uint64_t>(min_ts);
+  const uint64_t span = static_cast<uint64_t>(max_ts) - base;
+  const uint64_t lo = (static_cast<uint64_t>(min_start) - base) /
+                      kFenceGrain * kFenceGrain;
+  const uint64_t hi_offset = static_cast<uint64_t>(max_start) - base;
+  uint64_t hi = hi_offset / kFenceGrain * kFenceGrain;
+  if (hi < hi_offset) hi = span - hi < kFenceGrain ? span : hi + kFenceGrain;
+  return StartFence{static_cast<Timestamp>(base + lo),
+                    static_cast<Timestamp>(base + hi)};
+}
+
 }  // namespace
 
 PartitionDirEntry MakeDirEntry(int64_t bucket, AgentId agent, uint32_t seq,
@@ -167,9 +186,23 @@ PartitionDirEntry MakeDirEntry(int64_t bucket, AgentId agent, uint32_t seq,
   entry.min_ts = partition.min_ts();
   entry.max_ts = partition.max_ts();
   for (int op = 0; op < kNumOpTypes; ++op) {
-    entry.op_counts[op] = partition.OpCount(static_cast<OpType>(op));
+    const OpPostingList& list = partition.posting(static_cast<OpType>(op));
+    entry.op_counts[op] = list.size();
+    if (!list.empty()) {
+      entry.op_fences[op] = GridFence(entry.min_ts, entry.max_ts,
+                                      list.min_start_ts, list.max_start_ts);
+    }
   }
+  entry.exe_counts.assign(partition.subject_exe_counts().begin(),
+                          partition.subject_exe_counts().end());
+  std::sort(entry.exe_counts.begin(), entry.exe_counts.end());
+  entry.key_summary = BuildKeySummary(partition);
   return entry;
+}
+
+PartitionStats PartitionDirEntry::Stats() const {
+  return PartitionStats{PartitionKey{bucket, agent}, min_ts, max_ts, events,
+                        &op_counts, &key_summary};
 }
 
 void EncodeHeader(std::string* out) {
@@ -265,17 +298,6 @@ void EncodePartitionSegment(const EventPartition& partition,
     }
   }
 
-  // Subject-exe statistics, sorted by exe id for deterministic bytes.
-  std::vector<std::pair<StringId, uint64_t>> exe_counts(
-      partition.subject_exe_counts().begin(),
-      partition.subject_exe_counts().end());
-  std::sort(exe_counts.begin(), exe_counts.end());
-  PutVarint64(out, exe_counts.size());
-  for (const auto& [exe, count] : exe_counts) {
-    PutVarint64(out, exe);
-    PutVarint64(out, count);
-  }
-
   // Reverse entity indexes (v2 format version 3): CSR groups of ascending
   // event indexes keyed by strictly ascending entity keys — keys and
   // in-group indexes both delta-encode into small varints.
@@ -298,6 +320,27 @@ void EncodeFooter(const FooterData& footer, std::string* out) {
     PutVarintSigned(out, entry.min_ts);
     PutVarintSigned(out, entry.max_ts);
     for (uint64_t count : entry.op_counts) PutVarint64(out, count);
+    // Fences of the non-empty ops, in grains from the partition's first
+    // start: min, then the width (rounded up, as the clamp may cut it).
+    for (int op = 0; op < kNumOpTypes; ++op) {
+      if (entry.op_counts[op] == 0) continue;
+      const StartFence& fence = entry.op_fences[op];
+      const uint64_t lo = static_cast<uint64_t>(fence.min_start_ts) -
+                          static_cast<uint64_t>(entry.min_ts);
+      const uint64_t width = static_cast<uint64_t>(fence.max_start_ts) -
+                             static_cast<uint64_t>(fence.min_start_ts);
+      PutVarint64(out, lo / kFenceGrain);
+      PutVarint64(out, width / kFenceGrain + (width % kFenceGrain != 0));
+    }
+    PutVarint64(out, entry.exe_counts.size());
+    StringId prev_exe = 0;
+    for (const auto& [exe, count] : entry.exe_counts) {
+      PutVarint64(out, exe - prev_exe);
+      PutVarint64(out, count);
+      prev_exe = exe;
+    }
+    PutVarint64(out, entry.key_summary.size());
+    out->append(entry.key_summary);
   }
 }
 
@@ -411,7 +454,97 @@ bool DecodeRuns(Cursor* cur, size_t n, const ReadValue& read_value,
   return true;
 }
 
+/// Decodes one directory entry's statistics and checks them against each
+/// other; selection acts on them before any segment checksum is read.
+Status DecodeDirStats(Cursor* cur, PartitionDirEntry* entry) {
+  auto corrupt = [](const char* what) {
+    return Status::Corruption(std::string("snapshot directory ") + what);
+  };
+  entry->events = cur->U64();
+  entry->raw_events = cur->U64();
+  entry->min_ts = cur->I64();
+  entry->max_ts = cur->I64();
+  uint64_t op_total = 0;
+  for (uint64_t& count : entry->op_counts) {
+    count = cur->U64();
+    if (count > entry->events - op_total) {
+      return corrupt("op counts exceed the event count");
+    }
+    op_total += count;
+  }
+  if (!cur->ok()) return Status::Corruption("snapshot footer truncated");
+  if (op_total != entry->events) {
+    return corrupt("op counts disagree with the event count");
+  }
+  if (entry->events > entry->raw_events) {
+    return corrupt("event count exceeds the raw event count");
+  }
+  if (entry->events > 0 && entry->min_ts > entry->max_ts) {
+    return corrupt("time bounds inverted");
+  }
+  // Every fence lies inside [min_ts, max_ts]: grain counts are checked
+  // against the unsigned span before they are scaled, so nothing wraps; the
+  // last grain is clamped to max_ts.
+  const uint64_t span = static_cast<uint64_t>(entry->max_ts) -
+                        static_cast<uint64_t>(entry->min_ts);
+  for (int op = 0; op < kNumOpTypes; ++op) {
+    if (entry->op_counts[op] == 0) continue;
+    const uint64_t lo_grains = cur->U64();
+    const uint64_t width_grains = cur->U64();
+    if (!cur->ok() || lo_grains > span / kFenceGrain) {
+      return corrupt("op fence outside the time bounds");
+    }
+    const uint64_t lo = lo_grains * kFenceGrain;
+    const uint64_t room = span - lo;
+    if (width_grains > room / kFenceGrain + 1) {
+      return corrupt("op fence outside the time bounds");
+    }
+    const uint64_t hi = width_grains > room / kFenceGrain
+                            ? span
+                            : lo + width_grains * kFenceGrain;
+    const uint64_t base = static_cast<uint64_t>(entry->min_ts);
+    entry->op_fences[op] = StartFence{static_cast<Timestamp>(base + lo),
+                                      static_cast<Timestamp>(base + hi)};
+  }
+  const uint64_t num_exe = cur->U64();
+  if (!cur->ok() || num_exe > entry->events || num_exe > cur->remaining()) {
+    return corrupt("exe counts implausible");
+  }
+  entry->exe_counts.reserve(static_cast<size_t>(num_exe));
+  uint64_t exe = 0;
+  uint64_t exe_events = 0;
+  for (uint64_t i = 0; i < num_exe; ++i) {
+    const uint64_t delta = cur->U64();
+    const uint64_t count = cur->U64();
+    if (!cur->ok() || (i > 0 && delta == 0) || delta > UINT32_MAX - exe ||
+        count == 0 || count > entry->events - exe_events) {
+      return corrupt("exe counts corrupt");
+    }
+    exe += delta;
+    exe_events += count;
+    entry->exe_counts.emplace_back(static_cast<StringId>(exe), count);
+  }
+  const uint64_t summary_bytes = cur->U64();
+  if (!cur->ok() || summary_bytes > MaxKeySummaryBytes(entry->events) ||
+      (summary_bytes == 0) != (entry->events == 0)) {
+    return corrupt("entity summary size out of bounds");
+  }
+  entry->key_summary = std::string(cur->Bytes(summary_bytes));
+  if (!cur->ok()) return Status::Corruption("snapshot footer truncated");
+  return Status::OK();
+}
+
 }  // namespace
+
+Status CheckDirectoryExes(const FooterData& footer, const EntityStore& store) {
+  for (const PartitionDirEntry& entry : footer.partitions) {
+    if (!entry.exe_counts.empty() &&
+        entry.exe_counts.back().first >= store.exe_names().size()) {
+      return Status::Corruption("snapshot directory names an unknown exe");
+    }
+  }
+  return Status::OK();
+}
 
 Status DecodeFooter(std::string_view bytes, uint64_t data_end,
                     FooterData* footer) {
@@ -440,18 +573,12 @@ Status DecodeFooter(std::string_view bytes, uint64_t data_end,
   }
   footer->partitions.reserve(static_cast<size_t>(num_partitions));
   for (uint64_t i = 0; i < num_partitions; ++i) {
-    PartitionDirEntry entry;
+    PartitionDirEntry& entry = footer->partitions.emplace_back();
     entry.bucket = cur.I64();
     entry.agent = static_cast<AgentId>(cur.U64());
     entry.seq = static_cast<uint32_t>(cur.U64());
     AIQL_RETURN_IF_ERROR(DecodeSegmentRef(&cur, data_end, &entry.segment));
-    entry.events = cur.U64();
-    entry.raw_events = cur.U64();
-    entry.min_ts = cur.I64();
-    entry.max_ts = cur.I64();
-    for (uint64_t& count : entry.op_counts) count = cur.U64();
-    if (!cur.ok()) return Status::Corruption("snapshot footer truncated");
-    footer->partitions.push_back(entry);
+    AIQL_RETURN_IF_ERROR(DecodeDirStats(&cur, &entry));
   }
   if (!cur.AtEnd()) {
     return Status::Corruption("snapshot footer has trailing bytes");
@@ -665,27 +792,22 @@ Status DecodePartitionSegment(std::string_view bytes,
     return Status::Corruption("partition posting lists do not cover events");
   }
 
-  // Subject-exe statistics: strictly ascending known exe ids, each counting
-  // at least one event and together no more than the partition holds.
-  uint64_t num_exe = cur.U64();
-  if (!cur.ok() || num_exe > cur.remaining()) {
-    return Status::Corruption("partition statistics truncated");
-  }
-  if (num_exe > n) return Status::Corruption("partition statistics corrupt");
-  parts.subject_exe_counts.reserve(static_cast<size_t>(num_exe));
-  uint64_t prev_exe = 0;
-  uint64_t exe_events = 0;
-  for (uint64_t i = 0; i < num_exe; ++i) {
-    uint64_t exe = cur.U64();
-    uint64_t count = cur.U64();
-    if (!cur.ok() || exe >= store.exe_names().size() ||
-        (i > 0 && exe <= prev_exe) || count == 0 || count > n - exe_events) {
-      return Status::Corruption("partition statistics corrupt");
+  // The directory's op fences must be the postings' zone maps on the
+  // fence grid.
+  for (int op = 0; op < kNumOpTypes; ++op) {
+    const OpPostingList& list = parts.postings[op];
+    if (list.empty()) continue;
+    const StartFence fence = GridFence(entry.min_ts, entry.max_ts,
+                                       list.min_start_ts, list.max_start_ts);
+    if (fence.min_start_ts != entry.op_fences[op].min_start_ts ||
+        fence.max_start_ts != entry.op_fences[op].max_start_ts) {
+      return Status::Corruption("partition op fences disagree with footer");
     }
-    parts.subject_exe_counts.emplace(static_cast<StringId>(exe), count);
-    prev_exe = exe;
-    exe_events += count;
   }
+  // Subject-exe statistics come from the directory entry, validated when
+  // the footer was decoded (DecodeFooter, CheckDirectoryExes).
+  parts.subject_exe_counts.insert(entry.exe_counts.begin(),
+                                  entry.exe_counts.end());
 
   AIQL_RETURN_IF_ERROR(DecodeEntityIndex(
       &cur, n,

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -35,9 +36,12 @@ inline constexpr uint64_t kV2Magic = 0x4149514C534E5032ULL;  // "AIQLSNP2"
 // Version 3 added the reverse entity indexes (subject / object posting
 // lists) to the partition segments, so provenance hops served from a lazy
 // snapshot need no index rebuild. Version 4 switched every section
-// checksum from FNV-1a64 to XXH64; readers refuse any other version, so an
-// older file is reported, never misread.
-inline constexpr uint32_t kV2Version = 4;
+// checksum from FNV-1a64 to XXH64. Version 5 moved the subject-exe counts
+// from the segments into the footer directory and added each op's start
+// fence and an entity summary there, so selection and estimation run on
+// the directory alone. Readers refuse any other version, so an older file
+// is reported, never misread.
+inline constexpr uint32_t kV2Version = 5;
 inline constexpr size_t kV2HeaderSize = 8 + 4;   // magic + version
 inline constexpr size_t kV2TrailerSize = 8 * 3;  // footer off + cksum + magic
 
@@ -126,6 +130,16 @@ struct SegmentRef {
   uint64_t checksum = 0;
 };
 
+/// Bounds on the start times of one op's events: the posting list's zone
+/// map widened to a one-second grid anchored at the partition's min_ts
+/// (clamped to its max_ts), so it persists in a few bytes. Still exact
+/// enough for the estimator: a range holding or missing the whole fence
+/// holds or misses every start inside it.
+struct StartFence {
+  Timestamp min_start_ts = INT64_MAX;
+  Timestamp max_start_ts = INT64_MIN;
+};
+
 struct PartitionDirEntry {
   int64_t bucket = 0;
   AgentId agent = 0;
@@ -136,6 +150,15 @@ struct PartitionDirEntry {
   Timestamp min_ts = INT64_MAX;
   Timestamp max_ts = INT64_MIN;
   std::array<uint64_t, kNumOpTypes> op_counts{};
+  /// Each op's start fence; meaningful where op_counts[op] > 0.
+  std::array<StartFence, kNumOpTypes> op_fences{};
+  /// Events per subject exe-name id, strictly ascending by id.
+  std::vector<std::pair<StringId, uint64_t>> exe_counts;
+  /// Bloom filter over the reverse-index keys (storage/key_summary.h).
+  std::string key_summary;
+
+  /// The statistics partition selection reads (PartitionStatsSelected).
+  PartitionStats Stats() const;
 };
 
 struct FooterData {
@@ -174,8 +197,17 @@ void EncodeTrailer(uint64_t footer_offset, uint64_t footer_checksum,
 
 /// Parses the (already checksum-verified) footer. `data_end` is the file
 /// offset where the footer begins — all segments must end before it.
+/// Selection trusts the directory statistics without decoding a segment,
+/// so each entry's are checked for consistency here: op counts summing to
+/// the event count, events <= raw events, ordered time bounds, op fences
+/// inside them, ascending exe counts within the event count, and a summary
+/// within its size bound.
 Status DecodeFooter(std::string_view bytes, uint64_t data_end,
                     FooterData* footer);
+
+/// Refuses a directory naming an exe id outside `store`'s dictionary. The
+/// footer is decoded before META, so this check runs once META is in.
+Status CheckDirectoryExes(const FooterData& footer, const EntityStore& store);
 
 /// Decodes the META segment into an empty entity store.
 Status DecodeMetaSegment(std::string_view bytes, EntityStore* store);

@@ -129,11 +129,13 @@ ReadView TieredStore::OpenReadView() const {
     cold = cold_;
   }
   view.tiered_ = this;
-  view.tiered_cold_ = cold;
-  view.pins_ = std::make_shared<PartitionPinSet>();
+  view.cold_.reserve(cold->size());
   for (const auto& entry : *cold) {
+    view.cold_.push_back(&entry->entry);
     view.visible_events_ += entry->entry.events;
   }
+  view.tiered_cold_ = std::move(cold);
+  view.pins_ = std::make_shared<PartitionPinSet>();
   MergeStats(&view.stats_, recovered_stats_);
   return view;
 }
@@ -165,60 +167,6 @@ Result<std::shared_ptr<const EventPartition>> TieredStore::MaterializeCold(
   }
   cache_.Insert(this, cold.cold_id, pin, cold.bytes);
   return pin;
-}
-
-Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                       const std::optional<std::vector<AgentId>>& agents) {
-  const TieredStore* store = view.tiered_;
-  const auto& cold_dir =
-      *static_cast<const TieredStore::ColdDir*>(view.tiered_cold_.get());
-  const bool partitioned = view.options().enable_partitioning;
-
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  // Both inputs are ordered by (bucket, agent, seq). Within one
-  // (bucket, agent) the cold partitions carry the lower seqs (they were
-  // sealed — and demoted — before any hot sibling existed), so emitting
-  // cold before hot on a key tie preserves the all-hot selection order,
-  // which is what makes tiered results byte-identical.
-  size_t hot = 0;
-  size_t cold = 0;
-  const auto& hot_list = view.partitions_;
-  while (hot < hot_list.size() || cold < cold_dir.size()) {
-    bool take_cold;
-    if (cold == cold_dir.size()) {
-      take_cold = false;
-    } else if (hot == hot_list.size()) {
-      take_cold = true;
-    } else {
-      const auto& ce = cold_dir[cold]->entry;
-      const PartitionKey& hk = hot_list[hot].first;
-      take_cold = std::pair<int64_t, AgentId>(ce.bucket, ce.agent) <=
-                  std::pair<int64_t, AgentId>(hk.bucket, hk.agent_id);
-    }
-    if (take_cold) {
-      const TieredStore::ColdPartition& entry = *cold_dir[cold++];
-      if (!PartitionStatsSelected(range, agents, partitioned,
-                                  entry.entry.agent, entry.entry.min_ts,
-                                  entry.entry.max_ts, entry.entry.events)) {
-        continue;
-      }
-      AIQL_ASSIGN_OR_RETURN(std::shared_ptr<const EventPartition> pin,
-                            store->MaterializeCold(entry));
-      out.emplace_back(PartitionKey{entry.entry.bucket, entry.entry.agent},
-                       pin.get());
-      view.pins_->Add(std::move(pin));
-    } else {
-      const auto& [key, partition] = hot_list[hot++];
-      if (!PartitionStatsSelected(range, agents, partitioned, key.agent_id,
-                                  partition->min_ts(), partition->max_ts(),
-                                  partition->size())) {
-        continue;
-      }
-      out.emplace_back(key, partition);
-    }
-  }
-  return out;
 }
 
 // =============================================================================

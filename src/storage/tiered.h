@@ -170,9 +170,7 @@ class TieredStore {
   Status CompactOnce();
 
  private:
-  friend Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
-  TieredSelectPartitions(const ReadView& view, const TimeRange& range,
-                         const std::optional<std::vector<AgentId>>& agents);
+  friend class ReadView;
 
   /// One cold partition: its committed directory entry plus revival state
   /// for the materialize path. `weak`/`bytes` are guarded by load_mu_; the

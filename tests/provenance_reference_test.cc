@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/like_matcher.h"
 #include "engine/aiql_engine.h"
 #include "engine/provenance.h"
@@ -65,7 +66,8 @@ std::vector<RefEvent> AllEvents(const std::vector<ReadView>& views) {
   std::vector<RefEvent> out;
   for (const ReadView& view : views) {
     auto partitions =
-        view.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt);
+        view.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
+                              kAllOps);
     EXPECT_TRUE(partitions.ok()) << partitions.status().ToString();
     if (!partitions.ok()) continue;
     for (const auto& [key, partition] : *partitions) {
@@ -388,19 +390,24 @@ struct Probe {
   Timestamp anchor;
 };
 
-/// Runs every probe under every option set on every backend and compares
-/// Track() with the reference computed over that backend's own events.
-void CompareWithReference(const World& world, const std::vector<Probe>& probes,
-                          TimeRange span) {
+/// Runs every probe under every option set on every backend `selected`
+/// admits (all by default), compares Track() with the reference computed
+/// over that backend's own events, and returns one line per run whose
+/// nodes or edges differ.
+std::vector<std::string> ReferenceMismatches(
+    const World& world, const std::vector<Probe>& probes, TimeRange span,
+    const std::function<bool(const std::string&)>& selected = nullptr) {
+  std::vector<std::string> mismatches;
   for (const Backend& backend : world.Backends()) {
+    if (selected != nullptr && !selected(backend.name)) continue;
     SCOPED_TRACE(backend.name);
     std::vector<RefEvent> events = AllEvents(backend.open_views());
-    ASSERT_FALSE(events.empty());
+    EXPECT_FALSE(events.empty());
     std::vector<ReadView> views = backend.open_views();
     for (const Probe& probe : probes) {
       SCOPED_TRACE(probe.label);
       auto roots = RootKeys(views, probe.type, probe.like);
-      ASSERT_FALSE(roots.empty());
+      EXPECT_FALSE(roots.empty());
       for (auto [label, options] : OptionSets(span)) {
         SCOPED_TRACE(label);
         options.backward = probe.backward;
@@ -410,7 +417,8 @@ void CompareWithReference(const World& world, const std::vector<Probe>& probes,
         request.anchor = probe.anchor;
         request.options = options;
         auto result = backend.engine->Track(request);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (!result.ok()) continue;
         EXPECT_FALSE(result->stats.truncated);
         NodeSet nodes;
         for (const ProvenanceNode& node : result->nodes) {
@@ -429,8 +437,14 @@ void CompareWithReference(const World& world, const std::vector<Probe>& probes,
         }
         auto [want_nodes, want_edges] =
             ReferenceTrack(events, roots, probe.anchor, options);
-        EXPECT_EQ(nodes, want_nodes);
-        EXPECT_EQ(edges, want_edges);
+        if (nodes != want_nodes || edges != want_edges) {
+          mismatches.push_back(backend.name + " / " + probe.label + " / " +
+                               label + ": " + std::to_string(nodes.size()) +
+                               " nodes, " + std::to_string(edges.size()) +
+                               " edges; reference " +
+                               std::to_string(want_nodes.size()) + " nodes, " +
+                               std::to_string(want_edges.size()) + " edges");
+        }
         // Vacuous comparisons prove nothing: the unfiltered closure must
         // reach beyond its roots.
         if (label == "unfiltered") {
@@ -438,6 +452,15 @@ void CompareWithReference(const World& world, const std::vector<Probe>& probes,
         }
       }
     }
+  }
+  return mismatches;
+}
+
+void CompareWithReference(const World& world, const std::vector<Probe>& probes,
+                          TimeRange span) {
+  for (const std::string& mismatch :
+       ReferenceMismatches(world, probes, span)) {
+    ADD_FAILURE() << mismatch;
   }
 }
 
@@ -543,6 +566,60 @@ TEST(ProvenanceReferenceTest, SeededRandomGraph) {
        middle},
   };
   CompareWithReference(world, probes, span);
+}
+
+/// Cold backends skip a partition whose entity summary misses every
+/// frontier key. A false negative there would silently drop edges; forcing
+/// one (the `storage.summary.miss` failpoint, aimed at the partition of one
+/// edge of the closure) must show up as a mismatch on every cold backend,
+/// while backends that probe their exact indexes still match.
+TEST(ProvenanceReferenceTest, SummaryFalseNegativeIsCaught) {
+  TimeRange span;
+  std::vector<EventRecord> records = RandomGraph(/*seed=*/20190711, &span);
+  World world(records, /*max_agent=*/4, "summary");
+  const std::vector<Probe> probes = {
+      {"backward from a file", EntityType::kFile, "/r/f0", true, INT64_MAX}};
+  ASSERT_TRUE(ReferenceMismatches(world, probes, span).empty());
+
+  // One edge of the unfiltered closure names its partition.
+  std::vector<ReadView> views;
+  for (const Backend& backend : world.Backends()) {
+    if (backend.name == "single-db") views = backend.open_views();
+  }
+  ASSERT_EQ(views.size(), 1u);
+  ProvenanceOptions unfiltered = OptionSets(span).front().second;
+  unfiltered.backward = true;
+  auto [nodes, edges] = ReferenceTrack(
+      AllEvents(views), RootKeys(views, EntityType::kFile, "/r/f0"),
+      INT64_MAX, unfiltered);
+  ASSERT_FALSE(edges.empty());
+  const auto& [op, start, end, agent, from, to] = *edges.begin();
+  const PartitionKey partition{start / StorageOptions{}.partition_duration,
+                               agent};
+  ASSERT_GE(partition.Fold(), 0);
+  views.clear();
+
+  FailpointSpec spec;
+  spec.arg_filter = partition.Fold();
+  Failpoint::Set("storage.summary.miss", spec);
+  auto is_cold = [](const std::string& name) {
+    return name == "snapshot" || name == "tiered tiny-budget";
+  };
+  for (const char* cold : {"snapshot", "tiered tiny-budget"}) {
+    SCOPED_TRACE(cold);
+    EXPECT_FALSE(ReferenceMismatches(world, probes, span,
+                                     [&](const std::string& name) {
+                                       return name == cold;
+                                     })
+                     .empty());
+  }
+  EXPECT_TRUE(ReferenceMismatches(world, probes, span,
+                                  [&](const std::string& name) {
+                                    return !is_cold(name);
+                                  })
+                  .empty());
+  EXPECT_GT(Failpoint::HitCount("storage.summary.miss"), 0u);
+  Failpoint::ClearAll();
 }
 
 }  // namespace

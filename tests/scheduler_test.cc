@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+
 #include "query/analyzer.h"
 #include "query/parser.h"
 #include "storage/database.h"
+#include "storage/snapshot.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 namespace {
@@ -154,6 +161,148 @@ TEST_F(SchedulerTest, TimeWindowLimitsEstimate) {
   // All data is on 05/10: nothing in range.
   EXPECT_EQ(*EstimateCardinality(patterns[0], view_, analyzed.agent_filter),
             0);
+}
+
+/// Six hours x two agents. Writes in every partition, reads only in even
+/// hours, connects only in hour 3 of agent 2, and events at odd seconds, so
+/// ranges that open mid-hour cut through partitions.
+std::vector<EventRecord> BackingRecords() {
+  std::vector<EventRecord> records;
+  for (int hour = 0; hour < 6; ++hour) {
+    for (AgentId agent : {1u, 2u}) {
+      for (int i = 0; i < 30; ++i) {
+        EventRecord record;
+        record.agent_id = agent;
+        record.op = (hour % 2 == 0 && i % 3 == 0) ? OpType::kRead
+                                                   : OpType::kWrite;
+        record.start_ts = T0() + hour * kHour + i * 2 * kMinute + kSecond;
+        record.end_ts = record.start_ts + kSecond;
+        record.subject =
+            ProcessRef{agent, 10, i % 5 == 0 ? "rare.exe" : "noisy.exe", "u"};
+        record.object = FileRef{agent, "/f" + std::to_string(i % 7)};
+        records.push_back(record);
+      }
+      if (hour == 3 && agent == 2) {
+        EventRecord record;
+        record.agent_id = agent;
+        record.op = OpType::kConnect;
+        record.start_ts = T0() + hour * kHour + 7 * kMinute;
+        record.end_ts = record.start_ts + kSecond;
+        record.subject = ProcessRef{agent, 10, "noisy.exe", "u"};
+        record.object =
+            NetworkRef{agent, "10.0.0.2", "10.0.0.9", 4000, 443, "tcp"};
+        records.push_back(record);
+      }
+    }
+  }
+  return records;
+}
+
+/// The same records served from a database, a lazy snapshot of it and a
+/// fully demoted tiered store whose cold cache starts empty: plans must be
+/// computed from directory statistics and agree exactly.
+class SchedulerBackingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    StorageOptions options;
+    options.dedup_window = 0;
+    db_ = std::make_unique<AuditDatabase>(options);
+    ASSERT_TRUE(db_->AppendBatch(BackingRecords()).ok());
+    ASSERT_TRUE(db_->Seal().ok());
+    path_ = "/tmp/aiql_scheduler_test_" +
+            std::to_string(static_cast<long>(getpid()));
+    ASSERT_TRUE(SaveSnapshot(*db_, path_).ok());
+    auto store = SnapshotStore::Open(path_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_ = std::move(*store);
+    RetentionOptions retention;
+    retention.dir = path_ + ".tiered";
+    retention.hot_buckets = -1;  // demote every sealed partition
+    retention.memory_budget_bytes = 4096;
+    auto tiered = TieredStore::Create(options, retention);
+    ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+    tiered_ = std::move(*tiered);
+    ASSERT_TRUE(tiered_->AppendBatch(BackingRecords()).ok());
+    ASSERT_TRUE(tiered_->Seal().ok());
+    ASSERT_TRUE(tiered_->CompactOnce().ok());
+    ASSERT_EQ(tiered_->stats().hot_partitions, 0u);
+    ASSERT_EQ(tiered_->stats().cold_partitions, 12u);
+  }
+
+  void TearDown() override {
+    tiered_.reset();
+    store_.reset();
+    std::filesystem::remove_all(path_ + ".tiered");
+    std::remove(path_.c_str());
+  }
+
+  /// Estimates of every pattern of `text` on `view`.
+  std::vector<double> Estimates(const std::string& text,
+                                const ReadView& view) {
+    auto parsed = ParseAiql(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return {};
+    auto analyzed = AnalyzeMultievent(*parsed->multievent, parsed->kind);
+    EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    if (!analyzed.ok()) return {};
+    analyzed->ast = parsed->multievent.get();
+    auto patterns = CompilePatterns(*analyzed, view.entities());
+    EXPECT_TRUE(patterns.ok()) << patterns.status().ToString();
+    if (!patterns.ok()) return {};
+    auto order =
+        SchedulePatterns(&*patterns, view, analyzed->agent_filter,
+                         EngineOptions{});
+    EXPECT_TRUE(order.ok()) << order.status().ToString();
+    std::vector<double> out;
+    for (const CompiledPattern& pattern : *patterns) {
+      out.push_back(pattern.estimated_cardinality);
+    }
+    return out;
+  }
+
+  std::unique_ptr<AuditDatabase> db_;
+  std::string path_;
+  std::unique_ptr<SnapshotStore> store_;
+  std::unique_ptr<TieredStore> tiered_;
+};
+
+TEST_F(SchedulerBackingTest, EstimatesAgreeAcrossBackings) {
+  const std::string queries[] = {
+      // Whole day: every partition lies inside the range.
+      "(at \"05/10/2018\") proc a[\"%rare%\"] read file f1 as e1 "
+      "proc b write file f2 as e2 proc c connect ip i as e3 return a, b, c",
+      // A range cutting through hours 1 and 4.
+      "(from \"01:30:00 05/10/2018\" to \"04:15:00 05/10/2018\") "
+      "proc a read file f1 as e1 proc b[\"%noisy%\"] write file f2 as e2 "
+      "proc c connect ip i as e3 return a, b, c",
+      // One agent, and a window opening before the data.
+      "(from \"05/09/2018\" to \"02:00:00 05/10/2018\") agentid = 2 "
+      "proc a read || write file f[\"/f3\"] as e1 return a",
+  };
+  for (const std::string& query : queries) {
+    SCOPED_TRACE(query);
+    ReadView db_view = db_->OpenReadView();
+    const std::vector<double> want = Estimates(query, db_view);
+    ASSERT_FALSE(want.empty());
+    EXPECT_GT(want[0] + want.back(), 0);
+    EXPECT_EQ(Estimates(query, store_->OpenReadView()), want);
+    EXPECT_EQ(Estimates(query, tiered_->OpenReadView()), want);
+  }
+  // The cut-through range materialized a partition to count exactly.
+  EXPECT_GT(store_->loaded_partitions(), 0u);
+}
+
+TEST_F(SchedulerBackingTest, WholeDayPlanReadsOnlyTheDirectory) {
+  const std::string query =
+      "(at \"05/10/2018\") proc a[\"%rare%\"] read file f1 as e1 "
+      "proc b write file f2 as e2 proc c connect ip i as e3 return a, b, c";
+  ASSERT_EQ(Estimates(query, tiered_->OpenReadView()).size(), 3u);
+  ASSERT_EQ(Estimates(query, store_->OpenReadView()).size(), 3u);
+  const RetentionStats stats = tiered_->stats();
+  EXPECT_EQ(stats.reopens, 0u);
+  EXPECT_EQ(stats.cache.misses, 0u);
+  EXPECT_EQ(stats.cache.insertions, 0u);
+  EXPECT_EQ(store_->loaded_partitions(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
-// Direct tests of the snapshot v2 partition-segment decoder: forged
-// subject-exe statistics must be refused, and seeded mutations of a valid
-// segment (bit flips, truncations, forged varints) must each yield either a
-// clean Status or a partition whose seal invariants all hold — never a
-// crash.
+// Direct tests of the snapshot v2 partition-segment and footer decoders:
+// seeded mutations of a valid segment (bit flips, truncations, forged
+// varints) must each yield either a clean Status or a partition whose seal
+// invariants all hold — never a crash. The footer directory's statistics,
+// which partition selection trusts without decoding a segment, must be
+// refused when forged (op counts, event counts, time bounds, op fences,
+// exe counts, summary length), and mutated footers must decode cleanly or
+// not at all.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "common/rng.h"
 #include "common/varint.h"
 #include "storage/database.h"
+#include "storage/key_summary.h"
 #include "storage/partition.h"
 #include "storage/snapshot_format.h"
 
@@ -63,23 +67,6 @@ AuditDatabase BuildDatabase() {
   }
   EXPECT_TRUE(db.Seal().ok());
   return db;
-}
-
-/// A copy of every artifact of a sealed partition.
-SealedPartitionParts CopyParts(const EventPartition& partition) {
-  SealedPartitionParts parts;
-  parts.events = partition.events();
-  parts.columns = partition.columns();
-  for (int op = 0; op < kNumOpTypes; ++op) {
-    parts.postings[op] = partition.posting(static_cast<OpType>(op));
-  }
-  parts.subject_index = partition.subject_index();
-  parts.object_index = partition.object_index();
-  parts.subject_exe_counts = partition.subject_exe_counts();
-  parts.min_ts = partition.min_ts();
-  parts.max_ts = partition.max_ts();
-  parts.raw_count = partition.raw_event_count();
-  return parts;
 }
 
 /// Checks every seal invariant the engine relies on; returns "" when all
@@ -286,55 +273,158 @@ TEST_F(SegmentDecodeTest, ValidSegmentDecodesWithEveryInvariant) {
   EXPECT_EQ(decoded.subject_exe_counts(), partition_->subject_exe_counts());
 }
 
-TEST_F(SegmentDecodeTest, ForgedExeStatisticsAreRefused) {
-  // The exe-statistics section sits between the posting lists and the
-  // entity indexes. Locate it by encoding the same partition without
-  // statistics: that encoding differs exactly there, with a zero count.
-  SealedPartitionParts parts = CopyParts(*partition_);
-  parts.subject_exe_counts.clear();
-  EventPartition bare;
-  bare.RestoreSealed(std::move(parts));
-  std::string bare_segment;
-  snapfmt::EncodePartitionSegment(bare, &bare_segment);
-  auto diff = std::mismatch(bare_segment.begin(), bare_segment.end(),
-                            segment_.begin());
-  const size_t prefix = static_cast<size_t>(diff.first - bare_segment.begin());
-  ASSERT_LT(prefix, bare_segment.size());
-  ASSERT_EQ(bare_segment[prefix], '\0');
-  const std::string head = segment_.substr(0, prefix);
-  const std::string tail = bare_segment.substr(prefix + 1);
-  ASSERT_TRUE(segment_.size() > head.size() + tail.size());
-  ASSERT_EQ(segment_.substr(segment_.size() - tail.size()), tail);
-
-  const uint64_t n = partition_->size();
-  auto forge = [&](const std::vector<std::pair<uint64_t, uint64_t>>& stats) {
-    std::string section;
-    PutVarint64(&section, stats.size());
-    for (const auto& [exe, count] : stats) {
-      PutVarint64(&section, exe);
-      PutVarint64(&section, count);
-    }
-    EventPartition decoded;
-    return Decode(head + section + tail, &decoded);
-  };
-
-  // Controls: well-formed sections decode.
-  EXPECT_TRUE(forge({}).ok());
-  EXPECT_TRUE(forge({{0, 1}, {1, 2}, {2, n - 3}}).ok());
-
-  const std::vector<std::vector<std::pair<uint64_t, uint64_t>>> forged = {
-      {{1, 1}, {1, 1}},           // duplicate exe id
-      {{2, 1}, {0, 1}},           // unordered exe ids
-      {{0, 0}},                   // zero count
-      {{0, n + 1}},               // one count above the event total
-      {{0, n}, {1, 1}},           // counts summing above the event total
-      {{0, UINT64_MAX}, {1, 2}},  // a sum that would wrap
-      {{store().exe_names().size(), 1}},  // unknown exe id
-  };
-  for (size_t i = 0; i < forged.size(); ++i) {
-    Status status = forge(forged[i]);
-    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "case " << i;
+/// A one-partition footer around the fixture's directory entry, and the
+/// checks DecodeFooter must leave true of any footer it accepts.
+class FooterDecodeTest : public SegmentDecodeTest {
+ protected:
+  void SetUp() override {
+    SegmentDecodeTest::SetUp();
+    footer_.meta = snapfmt::SegmentRef{snapfmt::kV2HeaderSize, 1, 0};
+    entry_.segment = snapfmt::SegmentRef{snapfmt::kV2HeaderSize + 1,
+                                         segment_.size(), 0};
+    footer_.partitions.push_back(entry_);
+    data_end_ = snapfmt::kV2HeaderSize + 1 + segment_.size();
   }
+
+  std::string Encode(const snapfmt::PartitionDirEntry& entry) const {
+    snapfmt::FooterData footer = footer_;
+    footer.partitions[0] = entry;
+    std::string bytes;
+    snapfmt::EncodeFooter(footer, &bytes);
+    return bytes;
+  }
+
+  Status Decode(const std::string& bytes,
+                snapfmt::FooterData* out = nullptr) const {
+    snapfmt::FooterData scratch;
+    return snapfmt::DecodeFooter(bytes, data_end_,
+                                 out != nullptr ? out : &scratch);
+  }
+
+  /// "" when every statistic selection trusts is self-consistent.
+  static std::string CheckEntry(const snapfmt::PartitionDirEntry& e) {
+    uint64_t ops = 0;
+    for (uint64_t count : e.op_counts) ops += count;
+    if (ops != e.events) return "op counts";
+    if (e.events > e.raw_events) return "raw events";
+    if (e.events > 0 && e.min_ts > e.max_ts) return "time bounds";
+    for (int op = 0; op < kNumOpTypes; ++op) {
+      if (e.op_counts[op] == 0) continue;
+      const snapfmt::StartFence& f = e.op_fences[op];
+      if (f.min_start_ts < e.min_ts || f.min_start_ts > f.max_start_ts ||
+          f.max_start_ts > e.max_ts) {
+        return "op fence";
+      }
+    }
+    uint64_t exe_events = 0;
+    for (size_t i = 0; i < e.exe_counts.size(); ++i) {
+      if (i > 0 && e.exe_counts[i].first <= e.exe_counts[i - 1].first) {
+        return "exe order";
+      }
+      if (e.exe_counts[i].second == 0) return "exe count";
+      exe_events += e.exe_counts[i].second;
+    }
+    if (exe_events > e.events) return "exe total";
+    if (e.key_summary.size() > MaxKeySummaryBytes(e.events) ||
+        e.key_summary.empty() != (e.events == 0)) {
+      return "summary size";
+    }
+    return "";
+  }
+
+  snapfmt::FooterData footer_;
+  uint64_t data_end_ = 0;
+};
+
+TEST_F(FooterDecodeTest, ValidDirectoryRoundTrips) {
+  snapfmt::FooterData decoded;
+  Status status = Decode(Encode(entry_), &decoded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(decoded.partitions.size(), 1u);
+  const snapfmt::PartitionDirEntry& e = decoded.partitions[0];
+  EXPECT_EQ(CheckEntry(e), "");
+  EXPECT_EQ(e.op_counts, entry_.op_counts);
+  EXPECT_EQ(e.exe_counts, entry_.exe_counts);
+  EXPECT_EQ(e.key_summary, entry_.key_summary);
+  for (int op = 0; op < kNumOpTypes; ++op) {
+    if (entry_.op_counts[op] == 0) continue;
+    EXPECT_EQ(e.op_fences[op].min_start_ts, entry_.op_fences[op].min_start_ts);
+    EXPECT_EQ(e.op_fences[op].max_start_ts, entry_.op_fences[op].max_start_ts);
+    // The grid fence holds the op's exact zone map.
+    const OpPostingList& list = partition_->posting(static_cast<OpType>(op));
+    EXPECT_LE(e.op_fences[op].min_start_ts, list.min_start_ts);
+    EXPECT_GE(e.op_fences[op].max_start_ts, list.max_start_ts);
+  }
+  EXPECT_TRUE(snapfmt::CheckDirectoryExes(decoded, store()).ok());
+}
+
+TEST_F(FooterDecodeTest, ForgedStatisticsAreRefused) {
+  const uint64_t n = entry_.events;
+  int op = 0;
+  while (entry_.op_counts[op] == 0) ++op;
+  std::vector<std::pair<std::string, snapfmt::PartitionDirEntry>> forged;
+  auto add = [&](const std::string& what, auto mutate) {
+    snapfmt::PartitionDirEntry e = entry_;
+    mutate(&e);
+    forged.emplace_back(what, std::move(e));
+  };
+  add("op counts above events", [&](auto* e) { e->op_counts[op] += 1; });
+  add("op counts below events", [&](auto* e) { e->op_counts[op] -= 1; });
+  add("op count wrapping the sum",
+      [&](auto* e) { e->op_counts[op] = UINT64_MAX; });
+  add("events above raw events",
+      [&](auto* e) { e->raw_events = e->events - 1; });
+  add("inverted time bounds",
+      [&](auto* e) { std::swap(e->min_ts, e->max_ts); });
+  add("duplicate exe id",
+      [&](auto* e) { e->exe_counts = {{1, 1}, {1, 1}}; });
+  add("unordered exe ids",
+      [&](auto* e) { e->exe_counts = {{2, 1}, {0, 1}}; });
+  add("zero exe count", [&](auto* e) { e->exe_counts = {{0, 0}}; });
+  add("exe count above events",
+      [&](auto* e) { e->exe_counts = {{0, n + 1}}; });
+  add("exe counts summing above events",
+      [&](auto* e) { e->exe_counts = {{0, n}, {1, 1}}; });
+  add("exe counts wrapping the sum",
+      [&](auto* e) { e->exe_counts = {{0, UINT64_MAX}, {1, 2}}; });
+  add("fence starting past max_ts", [&](auto* e) {
+    e->op_fences[op].min_start_ts = e->max_ts + 2 * kSecond;
+    e->op_fences[op].max_start_ts = e->max_ts + 2 * kSecond;
+  });
+  add("fence ending past max_ts", [&](auto* e) {
+    e->op_fences[op].max_start_ts = e->max_ts + 5 * kSecond;
+  });
+  add("summary above its bound", [&](auto* e) {
+    e->key_summary.assign(MaxKeySummaryBytes(e->events) + 1, '\xFF');
+  });
+  add("no summary for a non-empty partition",
+      [&](auto* e) { e->key_summary.clear(); });
+  for (const auto& [what, entry] : forged) {
+    EXPECT_EQ(Decode(Encode(entry)).code(), StatusCode::kCorruption) << what;
+  }
+
+  // Summary lengths far beyond the bytes that follow must be refused
+  // before anything is allocated.
+  const std::string valid = Encode(entry_);
+  std::string summary_len;
+  PutVarint64(&summary_len, entry_.key_summary.size());
+  const size_t summary_at =
+      valid.size() - entry_.key_summary.size() - summary_len.size();
+  for (uint64_t len : {MaxKeySummaryBytes(n) + 1, uint64_t{1} << 40,
+                       UINT64_MAX}) {
+    std::string bytes = valid.substr(0, summary_at);
+    PutVarint64(&bytes, len);
+    bytes += entry_.key_summary;
+    EXPECT_EQ(Decode(bytes).code(), StatusCode::kCorruption) << len;
+  }
+  // Exe ids outside the dictionary decode, and are refused once META is in.
+  snapfmt::PartitionDirEntry unknown = entry_;
+  unknown.exe_counts = {{static_cast<StringId>(store().exe_names().size()),
+                         1}};
+  snapfmt::FooterData decoded;
+  ASSERT_TRUE(Decode(Encode(unknown), &decoded).ok());
+  EXPECT_EQ(snapfmt::CheckDirectoryExes(decoded, store()).code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(SegmentDecodeTest, SeededMutationsNeverCrash) {
@@ -383,6 +473,55 @@ TEST_F(SegmentDecodeTest, SeededMutationsNeverCrash) {
         segment_.substr(0, start) + forged + segment_.substr(end);
     ExpectCleanOutcome(bytes, "forged varint case " + std::to_string(c) +
                                   " at " + std::to_string(start));
+  }
+}
+
+TEST_F(FooterDecodeTest, SeededMutationsNeverCrash) {
+  const std::string valid = Encode(entry_);
+  auto expect_clean = [&](const std::string& bytes, const std::string& what) {
+    snapfmt::FooterData decoded;
+    Status status = Decode(bytes, &decoded);
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << what << ": " << status.ToString();
+      return;
+    }
+    for (const snapfmt::PartitionDirEntry& e : decoded.partitions) {
+      EXPECT_EQ(CheckEntry(e), "") << what;
+    }
+  };
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    expect_clean(valid.substr(0, cut), "truncated to " + std::to_string(cut));
+  }
+  Rng rng(20190716);
+  for (int c = 0; c < 2000; ++c) {
+    std::string bytes = valid;
+    const int flips = 1 + static_cast<int>(rng.Uniform(3));
+    for (int f = 0; f < flips; ++f) {
+      size_t pos = rng.Uniform(bytes.size());
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.Uniform(8)));
+    }
+    expect_clean(bytes, "bit-flip case " + std::to_string(c));
+  }
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i + 1 < valid.size(); ++i) {
+    if ((static_cast<uint8_t>(valid[i]) & 0x80) == 0) starts.push_back(i + 1);
+  }
+  const uint64_t n = entry_.events;
+  const uint64_t hostile[] = {0, 1, n - 1, n, n + 1, UINT32_MAX,
+                              1ull << 32, 1ull << 63, UINT64_MAX};
+  for (int c = 0; c < 2000; ++c) {
+    size_t start = starts[rng.Uniform(starts.size())];
+    size_t end = start;
+    while (end < valid.size() &&
+           (static_cast<uint8_t>(valid[end]) & 0x80) != 0) {
+      ++end;
+    }
+    end = std::min(end + 1, valid.size());
+    std::string forged;
+    PutVarint64(&forged, hostile[rng.Uniform(std::size(hostile))]);
+    expect_clean(valid.substr(0, start) + forged + valid.substr(end),
+                 "forged varint case " + std::to_string(c));
   }
 }
 

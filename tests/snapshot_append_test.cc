@@ -339,14 +339,16 @@ TEST_F(SnapshotAppendTest, OtherFormatVersionWithCommitsIsRefusedUntouched) {
                     ->Commit(db.options(), db.stats(), db.entities(), entries)
                     .ok());
   }
-  // Rewrite the header's format version to 3, as an older build wrote it.
+  // Rewrite the header's format version to the previous one, as an older
+  // build wrote it.
+  const uint32_t previous = snapfmt::kV2Version - 1;
   const std::string data_path = dir_ + "/DATA";
   {
     FILE* f = fopen(data_path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    const char version3[4] = {3, 0, 0, 0};
+    const char version[4] = {static_cast<char>(previous), 0, 0, 0};
     ASSERT_EQ(fseek(f, 8, SEEK_SET), 0);
-    ASSERT_EQ(fwrite(version3, 1, sizeof(version3), f), sizeof(version3));
+    ASSERT_EQ(fwrite(version, 1, sizeof(version), f), sizeof(version));
     fclose(f);
   }
   const std::string before = ReadFile(data_path);
@@ -355,7 +357,9 @@ TEST_F(SnapshotAppendTest, OtherFormatVersionWithCommitsIsRefusedUntouched) {
   auto reopened = SnapshotAppender::Open(dir_);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(reopened.status().message().find("version 3"), std::string::npos)
+  EXPECT_NE(reopened.status().message().find("version " +
+                                             std::to_string(previous)),
+            std::string::npos)
       << reopened.status().ToString();
   EXPECT_NE(reopened.status().message().find(
                 "expected version " + std::to_string(snapfmt::kV2Version)),

@@ -12,6 +12,7 @@
 #include "engine/aiql_engine.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_format.h"
 
 namespace aiql {
 namespace {
@@ -144,6 +145,18 @@ TEST_F(SnapshotCorruptionTest, HeaderMagicAndVersionAreChecked) {
   corrupt[8] = 99;  // format version
   WriteFile(*path_, corrupt);
   EXPECT_EQ(TryLoad().code(), StatusCode::kCorruption);
+
+  // A file of the previous format version (its directory lacks the
+  // statistics selection now reads) is refused by name, never misread.
+  corrupt = *golden_;
+  corrupt[8] = static_cast<char>(snapfmt::kV2Version - 1);
+  WriteFile(*path_, corrupt);
+  Status previous = SnapshotStore::Open(*path_).status();
+  EXPECT_EQ(previous.code(), StatusCode::kCorruption);
+  EXPECT_NE(previous.message().find(
+                "version " + std::to_string(snapfmt::kV2Version - 1)),
+            std::string::npos)
+      << previous.ToString();
 }
 
 TEST_F(SnapshotCorruptionTest, TrailerDamageIsDetected) {

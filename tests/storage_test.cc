@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 
 #include "storage/database.h"
+#include "storage/key_summary.h"
 #include "storage/snapshot.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 namespace {
@@ -128,6 +134,129 @@ TEST(PartitionTest, TimeAndAgentPartitioning) {
   auto first_hour = db.SelectPartitions(
       TimeRange{T0(), T0() + kHour}, std::nullopt);
   EXPECT_EQ(first_hour.size(), 2u);
+}
+
+TEST(PartitionTest, EventEndingAtTimelineEndKeepsItsPartition) {
+  // The overlap test once formed max_ts + 1, which overflows when an event
+  // ends at INT64_MAX and hid the whole partition from every query.
+  StorageOptions options;
+  options.dedup_window = 0;
+  AuditDatabase db(options);
+  EventRecord open_ended =
+      Rec(1, OpType::kWrite, T0(), 1, "a", FileRef{1, "/forever"});
+  open_ended.end_ts = INT64_MAX;
+  ASSERT_TRUE(db.Append(open_ended).ok());
+  ASSERT_TRUE(db.Append(Rec(1, OpType::kWrite, T0() + kSecond, 1, "a",
+                            FileRef{1, "/brief"}))
+                  .ok());
+  ASSERT_TRUE(db.Seal().ok());
+  const TimeRange day{T0(), T0() + kDay};
+  auto raw = db.SelectPartitions(day, std::nullopt);
+  ASSERT_EQ(raw.size(), 1u);
+  EXPECT_EQ(raw[0].second->size(), 2u);
+  ReadView view = db.OpenReadView();
+  auto selected = view.SelectPartitions(day, std::nullopt, kAllOps);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  ASSERT_EQ(selected->size(), 1u);
+  EXPECT_EQ((*selected)[0].second->size(), 2u);
+  // A range that opens after both starts still overlaps the open end.
+  auto late = view.SelectPartitions(TimeRange{T0() + kDay, INT64_MAX},
+                                    std::nullopt, kAllOps);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(late->size(), 1u);
+
+  // The same directory statistics persist and select from a snapshot.
+  const std::string path = "/tmp/aiql_storage_test_open_ended_" +
+                           std::to_string(static_cast<long>(getpid()));
+  ASSERT_TRUE(SaveSnapshot(db, path).ok());
+  auto store = SnapshotStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ReadView cold = (*store)->OpenReadView();
+  auto from_snapshot = cold.SelectPartitions(day, std::nullopt, kAllOps);
+  ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.status().ToString();
+  ASSERT_EQ(from_snapshot->size(), 1u);
+  EXPECT_EQ((*from_snapshot)[0].second->size(), 2u);
+  std::remove(path.c_str());
+}
+
+/// Hour 0 holds only writes to /w, hour 1 only reads of /r (agent 1).
+std::vector<EventRecord> SplitOpRecords() {
+  return {Rec(1, OpType::kWrite, T0(), 1, "a", FileRef{1, "/w"}),
+          Rec(1, OpType::kWrite, T0() + kMinute, 1, "a", FileRef{1, "/w"}),
+          Rec(1, OpType::kRead, T0() + kHour, 1, "a", FileRef{1, "/r"}),
+          Rec(1, OpType::kRead, T0() + kHour + kMinute, 1, "a",
+              FileRef{1, "/r"})};
+}
+
+TEST(PartitionTest, SelectionPrunesOnDirectoryStatistics) {
+  StorageOptions options;
+  options.dedup_window = 0;
+  AuditDatabase db(options);
+  ASSERT_TRUE(db.AppendBatch(SplitOpRecords()).ok());
+  ASSERT_TRUE(db.Seal().ok());
+  const std::string path = "/tmp/aiql_storage_test_prune_" +
+                           std::to_string(static_cast<long>(getpid()));
+  ASSERT_TRUE(SaveSnapshot(db, path).ok());
+  auto store = SnapshotStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  RetentionOptions retention;
+  retention.dir = path + ".tiered";
+  retention.hot_buckets = -1;
+  auto tiered = TieredStore::Create(options, retention);
+  ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+  ASSERT_TRUE((*tiered)->AppendBatch(SplitOpRecords()).ok());
+  ASSERT_TRUE((*tiered)->Seal().ok());
+  ASSERT_TRUE((*tiered)->CompactOnce().ok());
+  ASSERT_EQ((*tiered)->stats().cold_partitions, 2u);
+
+  const EntityStore& entities = db.entities();
+  const EntityId w = entities.FindFile(FileRef{1, "/w"});
+  ASSERT_NE(w, kInvalidEntityId);
+  const SummaryHashes only_w = {
+      SummaryHash(ObjectSummaryKey(EntityType::kFile, w))};
+  const TimeRange all{INT64_MIN, INT64_MAX};
+  struct Backing {
+    const char* name;
+    ReadView view;
+    bool cold;
+  };
+  std::vector<Backing> backings;
+  backings.push_back({"database", db.OpenReadView(), false});
+  backings.push_back({"snapshot", (*store)->OpenReadView(), true});
+  backings.push_back({"tiered", (*tiered)->OpenReadView(), true});
+  for (const Backing& backing : backings) {
+    SCOPED_TRACE(backing.name);
+    auto buckets = [&](OpMask ops, const SummaryHashes* keys) {
+      std::vector<int64_t> out;
+      auto selected =
+          backing.view.SelectPartitions(all, std::nullopt, ops, keys);
+      EXPECT_TRUE(selected.ok()) << selected.status().ToString();
+      if (selected.ok()) {
+        for (const auto& [key, partition] : *selected) {
+          out.push_back(key.bucket);
+        }
+      }
+      return out;
+    };
+    const int64_t hour0 = T0() / kHour;
+    EXPECT_EQ(buckets(kAllOps, nullptr),
+              (std::vector<int64_t>{hour0, hour0 + 1}));
+    EXPECT_EQ(buckets(OpBit(OpType::kWrite), nullptr),
+              std::vector<int64_t>{hour0});
+    EXPECT_EQ(buckets(OpBit(OpType::kRead) | OpBit(OpType::kExecute), nullptr),
+              std::vector<int64_t>{hour0 + 1});
+    EXPECT_TRUE(buckets(OpBit(OpType::kConnect), nullptr).empty());
+    // A hop for /w: a cold partition's summary rules hour 1 out; resident
+    // partitions carry no summary and are probed exactly by the hop.
+    const std::vector<int64_t> hop_w =
+        backing.cold ? std::vector<int64_t>{hour0}
+                     : std::vector<int64_t>{hour0, hour0 + 1};
+    EXPECT_EQ(buckets(kAllOps, &only_w), hop_w);
+  }
+  backings.clear();
+  tiered->reset();
+  std::filesystem::remove_all(retention.dir);
+  std::remove(path.c_str());
 }
 
 TEST(PartitionTest, DisabledPartitioningUsesOneBucket) {

@@ -105,7 +105,8 @@ TEST(StreamingTest, SizeThresholdRollsOverWithinBucket) {
   // All three physical partitions share the (bucket, agent) pair and are
   // all selected for a scan of the bucket's range.
   auto selected =
-      view.SelectPartitions(TimeRange{T0(), T0() + kMinute}, std::nullopt);
+      view.SelectPartitions(TimeRange{T0(), T0() + kMinute}, std::nullopt,
+                            kAllOps);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->size(), 3u);
   EXPECT_EQ(db.stats().total_partitions, 3u);
@@ -126,7 +127,8 @@ TEST(StreamingTest, LateEventOpensOverflowPartition) {
   ReadView view = db.OpenReadView();
   EXPECT_EQ(view.visible_events(), 3u);
   auto first_bucket =
-      view.SelectPartitions(TimeRange{T0(), T0() + kMinute}, std::nullopt);
+      view.SelectPartitions(TimeRange{T0(), T0() + kMinute}, std::nullopt,
+                            kAllOps);
   ASSERT_TRUE(first_bucket.ok());
   ASSERT_EQ(first_bucket->size(), 2u);
   EXPECT_EQ((*first_bucket)[0].second->size() +
