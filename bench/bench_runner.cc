@@ -184,28 +184,22 @@ StreamSuiteRun RunStreamingSuite(const std::string& suite,
   return out;
 }
 
-/// Snapshot format comparison: on-disk size and cold-start
-/// time-to-first-query-result for the legacy v1 single-blob format (full
-/// load) vs the v2 partition-granular store (lazy open).
+/// Snapshot store benchmark: on-disk size and cold-start
+/// time-to-first-query-result of the v2 partition-granular store (lazy
+/// open).
 struct SnapshotBench {
-  uint64_t v1_bytes = 0;
   uint64_t v2_bytes = 0;
-  int64_t v1_save_us = 0;
   int64_t v2_save_us = 0;
-  int64_t v1_load_us = 0;         ///< full deserialize + reindex
   int64_t v2_open_us = 0;         ///< footer + statistics + entities only
-  int64_t v1_first_query_us = 0;  ///< first query after the v1 load
   int64_t v2_first_query_us = 0;  ///< first query (materializes on demand)
   size_t rows_mem = 0;
-  size_t rows_v1 = 0;
   size_t rows_v2 = 0;
   uint64_t v2_partitions_loaded = 0;
   uint64_t v2_partitions_total = 0;
-  bool rows_match = false;            ///< first query: mem == v1 == v2
+  bool rows_match = false;            ///< first query: mem == v2
   bool all_query_rows_match = false;  ///< whole suite served from v2 store
   bool failed = false;
 
-  int64_t v1_cold_start_us() const { return v1_load_us + v1_first_query_us; }
   int64_t v2_cold_start_us() const { return v2_open_us + v2_first_query_us; }
 };
 
@@ -946,9 +940,7 @@ SnapshotBench RunSnapshotBench(const AuditDatabase& db,
   };
   const std::string unique = std::to_string(
       std::chrono::steady_clock::now().time_since_epoch().count());
-  TempFile v1_file{"/tmp/aiql_bench_snapshot." + unique + ".v1.snap"};
   TempFile v2_file{"/tmp/aiql_bench_snapshot." + unique + ".v2.snap"};
-  const std::string& v1_path = v1_file.path;
   const std::string& v2_path = v2_file.path;
   auto fail = [&](const char* what, const Status& status) {
     std::fprintf(stderr, "snapshot bench %s FAILED: %s\n", what,
@@ -957,37 +949,14 @@ SnapshotBench RunSnapshotBench(const AuditDatabase& db,
   };
 
   Status status;
-  bench.v1_save_us = TimeUs([&] { status = SaveSnapshotV1(db, v1_path); });
-  if (!status.ok()) fail("v1 save", status);
   bench.v2_save_us = TimeUs([&] { status = SaveSnapshot(db, v2_path); });
   if (!status.ok()) fail("v2 save", status);
-  bench.v1_bytes = FileSizeBytes(v1_path);
   bench.v2_bytes = FileSizeBytes(v2_path);
   if (bench.failed) return bench;
 
   const CatalogQuery& first = queries.front();
   auto mem_it = mem_rows.find(suite + "/" + first.id);
   bench.rows_mem = mem_it == mem_rows.end() ? 0 : mem_it->second;
-
-  // v1 cold start: the whole blob must be deserialized and re-indexed
-  // before the first query can run.
-  {
-    Result<AuditDatabase> loaded = Status::Internal("not loaded");
-    bench.v1_load_us = TimeUs([&] { loaded = LoadSnapshot(v1_path); });
-    if (!loaded.ok()) {
-      fail("v1 load", loaded.status());
-      return bench;
-    }
-    AiqlEngine engine(&*loaded);
-    bench.v1_first_query_us = TimeUs([&] {
-      auto result = engine.Execute(first.text);
-      if (result.ok()) {
-        bench.rows_v1 = result->table.num_rows();
-      } else {
-        fail("v1 first query", result.status());
-      }
-    });
-  }
 
   // v2 cold start: open reads footer + statistics + entities; the first
   // query materializes only the partitions it touches.
@@ -1028,35 +997,21 @@ SnapshotBench RunSnapshotBench(const AuditDatabase& db,
       }
     }
   }
-  bench.rows_match =
-      bench.rows_v1 == bench.rows_mem && bench.rows_v2 == bench.rows_mem;
+  bench.rows_match = bench.rows_v2 == bench.rows_mem;
   return bench;
 }
 
 void WriteSnapshotJson(FILE* out, const SnapshotBench& bench) {
-  double ratio = bench.v2_bytes == 0
-                     ? 0
-                     : static_cast<double>(bench.v1_bytes) /
-                           static_cast<double>(bench.v2_bytes);
   std::fprintf(
       out,
-      "  \"snapshot\": {\"v1_bytes\": %llu, \"v2_bytes\": %llu, "
-      "\"v1_over_v2_size_ratio\": %.2f,\n"
-      "    \"v1_save_us\": %lld, \"v2_save_us\": %lld,\n"
-      "    \"v1_load_us\": %lld, \"v1_first_query_us\": %lld, "
-      "\"v1_cold_start_us\": %lld,\n"
+      "  \"snapshot\": {\"v2_bytes\": %llu, \"v2_save_us\": %lld,\n"
       "    \"v2_open_us\": %lld, \"v2_first_query_us\": %lld, "
       "\"v2_cold_start_us\": %lld,\n"
       "    \"v2_partitions_loaded\": %llu, \"v2_partitions_total\": %llu,\n"
       "    \"rows\": %zu, \"rows_match\": %s, "
       "\"all_query_rows_match\": %s%s},\n",
-      static_cast<unsigned long long>(bench.v1_bytes),
-      static_cast<unsigned long long>(bench.v2_bytes), ratio,
-      static_cast<long long>(bench.v1_save_us),
+      static_cast<unsigned long long>(bench.v2_bytes),
       static_cast<long long>(bench.v2_save_us),
-      static_cast<long long>(bench.v1_load_us),
-      static_cast<long long>(bench.v1_first_query_us),
-      static_cast<long long>(bench.v1_cold_start_us()),
       static_cast<long long>(bench.v2_open_us),
       static_cast<long long>(bench.v2_first_query_us),
       static_cast<long long>(bench.v2_cold_start_us()),
@@ -1155,8 +1110,8 @@ StorageRun RunStorageBench(const std::vector<EventRecord>& records) {
   run.scan_us = TimeUs([&] {
     db.ForEachPartition(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
                         [&](const PartitionKey&, const EventPartition& p) {
-                          for (const Event& event : p.events()) {
-                            sum += event.amount;
+                          for (uint64_t amount : p.columns().amount) {
+                            sum += amount;
                           }
                         });
   });
@@ -1235,212 +1190,6 @@ double Geomean(const std::vector<double>& values) {
   double log_sum = 0;
   for (double v : values) log_sum += std::log(v);
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-// ---------------------------------------------------------------------------
-// Kernel mode (--kernels): scan-strategy micro-sweeps plus the fig4 suite
-// with batch kernels on vs off, both over a high-rate demo config
-// (10-50x the standard event count; AIQL_BENCH_KERNEL_SCALE, default 20) so
-// partitions are dense enough that the columnar inner loop dominates.
-// ---------------------------------------------------------------------------
-
-struct KernelMicroRun {
-  std::string name;
-  int64_t wall_us = 0;    ///< best-of-repeat full-database sweep
-  uint64_t rows = 0;      ///< events inspected per sweep
-  uint64_t matches = 0;
-};
-
-struct KernelQueryRun {
-  std::string id;
-  int64_t on_us = 0;
-  int64_t off_us = 0;
-  size_t rows = 0;
-  bool like_heavy = false;
-  bool rows_match = false;
-};
-
-struct KernelBench {
-  double scale = 0;
-  uint64_t stored_events = 0;
-  std::vector<KernelMicroRun> micro;
-  std::vector<KernelQueryRun> queries;
-  bool failed = false;
-};
-
-KernelBench RunKernelBench(const ScenarioOptions& base, int repeat) {
-  KernelBench bench;
-  bench.scale =
-      std::clamp(EnvDouble("AIQL_BENCH_KERNEL_SCALE", 20), 10.0, 50.0);
-  ScenarioOptions options = base;
-  options.events_per_host_per_hour *= bench.scale;
-  DemoScenarioData demo = GenerateDemoScenario(options);
-  auto db = IngestRecords(demo.records, StorageOptions{});
-  if (!db.ok()) {
-    std::fprintf(stderr, "kernels: high-rate ingest failed: %s\n",
-                 db.status().ToString().c_str());
-    bench.failed = true;
-    return bench;
-  }
-  bench.stored_events = db->stats().total_events;
-
-  // Micro-sweeps: the raw ScanPartition strategies over every partition.
-  auto pattern_for = [&](OpMask mask, EntityType object_type,
-                         uint32_t keep_one_in) {
-    CompiledPattern pattern;
-    pattern.op_mask = mask;
-    pattern.subject.type = EntityType::kProcess;
-    pattern.object.type = object_type;
-    if (keep_one_in > 0) {
-      size_t universe = db->entities().NumEntities(EntityType::kProcess);
-      EntitySet candidates(universe);
-      for (size_t id = 0; id < universe; id += keep_one_in) {
-        candidates.Add(static_cast<uint32_t>(id));
-      }
-      pattern.subject.candidates = std::move(candidates);
-      pattern.subject.has_constraints = true;
-    }
-    return pattern;
-  };
-  auto sweep = [&](const std::string& name, const CompiledPattern& pattern,
-                   bool kernels) {
-    KernelMicroRun run;
-    run.name = name;
-    run.wall_us = INT64_MAX;
-    for (int i = 0; i < repeat; ++i) {
-      uint64_t inspected = 0;
-      size_t matches = 0;
-      int64_t us = TimeUs([&] {
-        db->ForEachPartition(
-            TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
-            [&](const PartitionKey&, const EventPartition& partition) {
-              std::vector<const Event*> out;
-              inspected += ScanPartition(partition, pattern,
-                                         TimeRange{INT64_MIN, INT64_MAX},
-                                         nullptr, false, &out, nullptr,
-                                         kernels);
-              matches += out.size();
-            });
-      });
-      if (us < run.wall_us) {
-        run.wall_us = us;
-        run.rows = inspected;
-        run.matches = matches;
-      }
-    }
-    bench.micro.push_back(run);
-    std::fprintf(stderr, "  kernels %-28s %8lld us  rows=%llu matches=%llu\n",
-                 run.name.c_str(), static_cast<long long>(run.wall_us),
-                 static_cast<unsigned long long>(run.rows),
-                 static_cast<unsigned long long>(run.matches));
-  };
-  const OpMask all_ops = static_cast<OpMask>(0x1FF);
-  sweep("posting/selective_op",
-        pattern_for(OpBit(OpType::kStart), EntityType::kProcess, 0), true);
-  sweep("columnar_row/unselective",
-        pattern_for(all_ops, EntityType::kFile, 0), false);
-  sweep("columnar_batch/unselective",
-        pattern_for(all_ops, EntityType::kFile, 0), true);
-  sweep("columnar_row/selective",
-        pattern_for(all_ops, EntityType::kFile, 16), false);
-  sweep("columnar_batch/selective",
-        pattern_for(all_ops, EntityType::kFile, 16), true);
-
-  // fig4 at high rate, kernels on vs off; identical row counts gate the
-  // exit code (a cheap in-process echo of the oracle's kernel axis).
-  EngineOptions on_options, off_options;
-  off_options.enable_batch_kernels = false;
-  AiqlEngine on_engine(&*db, on_options), off_engine(&*db, off_options);
-  for (const CatalogQuery& query : DemoInvestigationQueries(demo.truth)) {
-    KernelQueryRun run;
-    run.id = query.id;
-    run.like_heavy = HasLikePredicate(query.text);
-    run.on_us = INT64_MAX;
-    run.off_us = INT64_MAX;
-    size_t on_rows = 0, off_rows = 0;
-    bool exec_failed = false;
-    for (int i = 0; i < repeat; ++i) {
-      int64_t us = TimeUs([&] {
-        auto result = on_engine.Execute(query.text);
-        if (result.ok()) {
-          on_rows = result->table.num_rows();
-        } else {
-          exec_failed = true;
-        }
-      });
-      run.on_us = std::min(run.on_us, us);
-      us = TimeUs([&] {
-        auto result = off_engine.Execute(query.text);
-        if (result.ok()) {
-          off_rows = result->table.num_rows();
-        } else {
-          exec_failed = true;
-        }
-      });
-      run.off_us = std::min(run.off_us, us);
-    }
-    run.rows = on_rows;
-    run.rows_match = !exec_failed && on_rows == off_rows;
-    if (!run.rows_match) {
-      bench.failed = true;
-      std::fprintf(stderr,
-                   "  kernels fig4 %s MISMATCH: on=%zu off=%zu rows\n",
-                   run.id.c_str(), on_rows, off_rows);
-    }
-    bench.queries.push_back(run);
-  }
-  return bench;
-}
-
-void WriteKernelJson(FILE* out, const KernelBench& bench) {
-  std::fprintf(out, "  \"kernels\": {\n");
-  std::fprintf(out, "    \"scale\": %.1f, \"stored_events\": %llu,\n",
-               bench.scale,
-               static_cast<unsigned long long>(bench.stored_events));
-  std::fprintf(out, "    \"micro\": [\n");
-  for (size_t i = 0; i < bench.micro.size(); ++i) {
-    const KernelMicroRun& run = bench.micro[i];
-    double rows_per_us =
-        static_cast<double>(run.rows) /
-        static_cast<double>(std::max<int64_t>(run.wall_us, 1));
-    std::fprintf(out,
-                 "      {\"name\": \"%s\", \"wall_us\": %lld, "
-                 "\"rows\": %llu, \"matches\": %llu, "
-                 "\"rows_per_us\": %.1f}%s\n",
-                 run.name.c_str(), static_cast<long long>(run.wall_us),
-                 static_cast<unsigned long long>(run.rows),
-                 static_cast<unsigned long long>(run.matches), rows_per_us,
-                 i + 1 < bench.micro.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out, "    \"fig4_highrate\": [\n");
-  std::vector<double> speedups, like_speedups;
-  bool all_rows_match = true;
-  for (size_t i = 0; i < bench.queries.size(); ++i) {
-    const KernelQueryRun& run = bench.queries[i];
-    double speedup = static_cast<double>(run.off_us) /
-                     static_cast<double>(std::max<int64_t>(run.on_us, 1));
-    speedups.push_back(speedup);
-    if (run.like_heavy) like_speedups.push_back(speedup);
-    all_rows_match = all_rows_match && run.rows_match;
-    std::fprintf(out,
-                 "      {\"id\": \"%s\", \"kernels_on_us\": %lld, "
-                 "\"kernels_off_us\": %lld, \"speedup\": %.3f, \"rows\": %zu, "
-                 "\"like_heavy\": %s, \"rows_match\": %s}%s\n",
-                 run.id.c_str(), static_cast<long long>(run.on_us),
-                 static_cast<long long>(run.off_us), speedup, run.rows,
-                 run.like_heavy ? "true" : "false",
-                 run.rows_match ? "true" : "false",
-                 i + 1 < bench.queries.size() ? "," : "");
-  }
-  std::fprintf(out, "    ],\n");
-  std::fprintf(out,
-               "    \"geomean_on_vs_off\": %.3f, "
-               "\"like_heavy_geomean_on_vs_off\": %.3f, "
-               "\"all_rows_match\": %s\n",
-               Geomean(speedups), Geomean(like_speedups),
-               all_rows_match ? "true" : "false");
-  std::fprintf(out, "  },\n");
 }
 
 void WriteStreamingJson(FILE* out, double rate,
@@ -1762,8 +1511,7 @@ void WriteJson(FILE* out, const std::string& label,
                const std::vector<StreamSuiteRun>* streaming,
                const SnapshotBench* snapshot,
                const ProvenanceBench* provenance, const ShardedBench* sharded,
-               const ChaosBench* chaos, const KernelBench* kernels,
-               const RetentionBench* retention) {
+               const ChaosBench* chaos, const RetentionBench* retention) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"aiql_scan_path\",\n");
   std::fprintf(out, "  \"label\": \"%s\",\n", JsonEscape(label).c_str());
@@ -1789,7 +1537,6 @@ void WriteJson(FILE* out, const std::string& label,
   if (provenance != nullptr) WriteProvenanceJson(out, *provenance);
   if (sharded != nullptr) WriteShardedJson(out, *sharded);
   if (chaos != nullptr) WriteChaosJson(out, *chaos);
-  if (kernels != nullptr) WriteKernelJson(out, *kernels);
   if (retention != nullptr) WriteRetentionJson(out, *retention);
 
   std::fprintf(out, "  \"queries\": [\n");
@@ -1864,7 +1611,6 @@ int main(int argc, char** argv) {
   bool provenance = false;
   bool sharded = false;
   bool chaos = false;
-  bool kernels = false;
   bool retention = false;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -1886,15 +1632,13 @@ int main(int argc, char** argv) {
       sharded = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
-    } else if (std::strcmp(argv[i], "--kernels") == 0) {
-      kernels = true;
     } else if (std::strcmp(argv[i], "--retention") == 0) {
       retention = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--out file.json] [--baseline file.json] "
                    "[--label name] [--streaming] [--snapshot] "
-                   "[--provenance] [--sharded] [--chaos] [--kernels] "
+                   "[--provenance] [--sharded] [--chaos] "
                    "[--retention]\n",
                    argv[0]);
       return 2;
@@ -1956,8 +1700,8 @@ int main(int argc, char** argv) {
   // storage micro-bench: ingest + full scan on the demo record stream.
   StorageRun storage = RunStorageBench(demo.records);
 
-  // Snapshot mode: v1 vs v2 on-disk size and cold-start-to-first-result on
-  // the demo database, plus a v2-served row-count verification of the whole
+  // Snapshot mode: v2 on-disk size and cold-start-to-first-result on the
+  // demo database, plus a v2-served row-count verification of the whole
   // fig4 suite.
   SnapshotBench snapshot_bench;
   if (snapshot) {
@@ -1968,15 +1712,9 @@ int main(int argc, char** argv) {
     snapshot_bench = RunSnapshotBench(
         *demo_db, DemoInvestigationQueries(demo.truth), mem_rows, "fig4");
     std::fprintf(stderr,
-                 "snapshot: v1=%llu B v2=%llu B (%.2fx) cold-start "
-                 "v1=%lld us v2=%lld us (loaded %llu/%llu partitions)\n",
-                 static_cast<unsigned long long>(snapshot_bench.v1_bytes),
+                 "snapshot: v2=%llu B cold-start %lld us (loaded %llu/%llu "
+                 "partitions)\n",
                  static_cast<unsigned long long>(snapshot_bench.v2_bytes),
-                 snapshot_bench.v2_bytes == 0
-                     ? 0.0
-                     : static_cast<double>(snapshot_bench.v1_bytes) /
-                           static_cast<double>(snapshot_bench.v2_bytes),
-                 static_cast<long long>(snapshot_bench.v1_cold_start_us()),
                  static_cast<long long>(snapshot_bench.v2_cold_start_us()),
                  static_cast<unsigned long long>(
                      snapshot_bench.v2_partitions_loaded),
@@ -2038,15 +1776,6 @@ int main(int argc, char** argv) {
                  chaos_bench.queries,
                  chaos_bench.runs.size(),
                  chaos_bench.failed ? "FAILED" : "all pass");
-  }
-
-  // Kernel mode: scan-strategy micro-sweeps and the fig4 suite with batch
-  // kernels on vs off over a high-rate demo config; identical row counts
-  // between the two engine settings gate the exit code.
-  KernelBench kernel_bench;
-  if (kernels) {
-    std::fprintf(stderr, "kernels: high-rate scan-strategy sweeps\n");
-    kernel_bench = RunKernelBench(options, repeat);
   }
 
   // Retention mode: both suites replayed into fully demoted tiered stores
@@ -2172,7 +1901,6 @@ int main(int argc, char** argv) {
             provenance ? &provenance_bench : nullptr,
             sharded ? &sharded_bench : nullptr,
             chaos ? &chaos_bench : nullptr,
-            kernels ? &kernel_bench : nullptr,
             retention ? &retention_bench : nullptr);
   std::fclose(out);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
@@ -2192,10 +1920,6 @@ int main(int argc, char** argv) {
   }
   if (chaos && chaos_bench.failed) {
     std::fprintf(stderr, "chaos bench verification failed\n");
-    return 1;
-  }
-  if (kernels && kernel_bench.failed) {
-    std::fprintf(stderr, "kernel bench verification failed\n");
     return 1;
   }
   if (retention && retention_bench.failed) {

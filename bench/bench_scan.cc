@@ -1,8 +1,7 @@
-// Scan-kernel micro-benchmarks (PR 8): per-kernel throughput of the three
-// partition scan strategies — posting-list merge, row-at-a-time columnar
-// (batch kernels off), and batch-at-a-time columnar kernels — under
-// selective and unselective candidate sets, plus the dictionary-match cache
-// behind the id-set predicates.
+// Scan-kernel micro-benchmarks: throughput of the two partition scan
+// strategies — posting-list merge and batch-at-a-time columnar kernels —
+// under selective and unselective candidate sets, plus the dictionary-match
+// cache behind the id-set predicates.
 //
 //   $ ./build/bench/bench_scan
 
@@ -50,10 +49,10 @@ CompiledPattern ScanPattern(const AuditDatabase& db, OpMask mask,
   return pattern;
 }
 
-/// One full sweep over every sealed partition with the given strategy knobs.
+/// One full sweep over every sealed partition with the given op mask.
 /// state.range(0): 0 = unselective (all ops, no candidates),
 ///                 1 = selective candidates (all ops, 1-in-16 processes).
-void ScanSweep(benchmark::State& state, OpMask mask, bool batch_kernels) {
+void ScanSweep(benchmark::State& state, OpMask mask) {
   const AuditDatabase& db = SharedDb();
   CompiledPattern pattern =
       ScanPattern(db, mask, state.range(0) == 0 ? 0 : 16);
@@ -65,10 +64,10 @@ void ScanSweep(benchmark::State& state, OpMask mask, bool batch_kernels) {
     db.ForEachPartition(
         TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
         [&](const PartitionKey&, const EventPartition& partition) {
-          std::vector<const Event*> out;
+          std::vector<EventRef> out;
           inspected += ScanPartition(partition, pattern,
                                      TimeRange{INT64_MIN, INT64_MAX}, nullptr,
-                                     false, &out, nullptr, batch_kernels);
+                                     false, &out);
           matches += out.size();
         });
     benchmark::DoNotOptimize(matches);
@@ -79,22 +78,15 @@ void ScanSweep(benchmark::State& state, OpMask mask, bool batch_kernels) {
                  std::string(" matches=") + std::to_string(matches));
 }
 
-// Wide op mask => the columnar strategy wins; the kernel flag picks the
-// batch vs row-at-a-time inner loop.
-void BM_ColumnarRowAtATime(benchmark::State& state) {
-  ScanSweep(state, static_cast<OpMask>(0x1FF), false);
-}
-BENCHMARK(BM_ColumnarRowAtATime)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
+// Wide op mask => the columnar batch kernels.
 void BM_ColumnarBatchKernel(benchmark::State& state) {
-  ScanSweep(state, static_cast<OpMask>(0x1FF), true);
+  ScanSweep(state, static_cast<OpMask>(0x1FF));
 }
 BENCHMARK(BM_ColumnarBatchKernel)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Single rare op => the posting-list merge path (identical either way; the
-// kernel flag only affects the columnar inner loop).
+// Single rare op => the posting-list merge path.
 void BM_PostingMerge(benchmark::State& state) {
-  ScanSweep(state, OpBit(OpType::kExecute), true);
+  ScanSweep(state, OpBit(OpType::kExecute));
 }
 BENCHMARK(BM_PostingMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

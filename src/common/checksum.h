@@ -3,10 +3,8 @@
 // `Checksum64` (XXH64, seed 0) guards every snapshot v2 section — partition
 // and META segments, footers — against truncation and bit flips. It reads
 // the input eight bytes at a time over four independent lanes, so checking
-// a segment costs a small fraction of decoding it. `Fnv1a64` is the
-// incremental byte-serial hash of the legacy v1 snapshot body and stays
-// only so v1 files remain readable. Neither is cryptographic: they detect
-// accidental corruption, not adversarial tampering.
+// a segment costs a small fraction of decoding it. It is not cryptographic:
+// it detects accidental corruption, not adversarial tampering.
 
 #ifndef AIQL_COMMON_CHECKSUM_H_
 #define AIQL_COMMON_CHECKSUM_H_
@@ -18,25 +16,6 @@
 #include <string_view>
 
 namespace aiql {
-
-/// Incremental FNV-1a 64-bit hasher (snapshot v1 body checksum).
-class Fnv1a64 {
- public:
-  void Update(const void* data, size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ = (hash_ ^ bytes[i]) * kPrime;
-    }
-  }
-
-  uint64_t digest() const { return hash_; }
-
-  static constexpr uint64_t kOffset = 14695981039346656037ULL;
-  static constexpr uint64_t kPrime = 1099511628211ULL;
-
- private:
-  uint64_t hash_ = kOffset;
-};
 
 namespace xxh64_detail {
 

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "engine/data_query.h"
+#include "engine/scan.h"
 #include "query/attributes.h"
 
 namespace aiql {
@@ -176,37 +178,24 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
   auto exec_start = Clock::now();
 
   // --- scan ------------------------------------------------------------------
-  std::vector<Event> events;
+  // With partitioning on, partition selection already restricts agents.
+  std::optional<AgentFilterSet> agent_filter;
+  if (analyzed.agent_filter.has_value() &&
+      !view_->options().enable_partitioning) {
+    agent_filter.emplace(*analyzed.agent_filter);
+  }
+  std::vector<EventRef> events;
   AIQL_ASSIGN_OR_RETURN(
       auto partitions,
       view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
                               pattern.op_mask));
   stats.partitions_scanned = partitions.size();
-  uint64_t since_check = 0;
   for (const auto& [key, partition] : partitions) {
-    const std::vector<Event>& all = partition->events();
-    size_t begin = partition->LowerBound(pattern.time_range.start);
-    for (size_t i = begin; i < all.size(); ++i) {
-      const Event& event = all[i];
-      if (event.start_ts >= pattern.time_range.end) break;
-      ++stats.events_scanned;
-      if (ctx != nullptr && ++since_check >= QueryContext::kCheckStride) {
-        AIQL_RETURN_IF_ERROR(ctx->ChargeRows(since_check));
-        since_check = 0;
-      }
-      if (!OpMaskContains(pattern.op_mask, event.op)) continue;
-      if (event.object_type != pattern.object.type) continue;
-      if (analyzed.agent_filter.has_value()) {
-        const auto& agents = *analyzed.agent_filter;
-        if (std::find(agents.begin(), agents.end(), event.agent_id) ==
-            agents.end()) {
-          continue;
-        }
-      }
-      if (!FilterAccepts(pattern.subject, event.subject)) continue;
-      if (!FilterAccepts(pattern.object, event.object)) continue;
-      events.push_back(event);
-    }
+    stats.events_scanned += ScanPartition(
+        *partition, pattern, pattern.time_range,
+        agent_filter.has_value() ? &*agent_filter : nullptr,
+        /*same_var_both_sides=*/false, &events, ctx);
+    if (ctx != nullptr) AIQL_RETURN_IF_ERROR(ctx->Check());
   }
   stats.events_matched = events.size();
 
@@ -262,8 +251,8 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
   Timestamp t0 = analyzed.time_window.start;
   if (t0 == INT64_MIN) {
     Timestamp min_ts = INT64_MAX;
-    for (const Event& event : events) {
-      min_ts = std::min(min_ts, event.start_ts);
+    for (EventRef event : events) {
+      min_ts = std::min(min_ts, event.start_ts());
     }
     t0 = min_ts;
   }
@@ -338,8 +327,9 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
 
   std::unordered_map<std::string, GroupState> groups;
   int64_t max_window = 0;
-  since_check = 0;
-  for (const Event& event : events) {
+  uint64_t since_check = 0;
+  for (EventRef ref : events) {
+    const Event event = ref.Get();
     if (ctx != nullptr && ++since_check >= QueryContext::kCheckStride) {
       AIQL_RETURN_IF_ERROR(ctx->ChargeRows(since_check));
       since_check = 0;

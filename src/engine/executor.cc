@@ -23,20 +23,20 @@ Duration ElapsedUs(Clock::time_point since) {
 }
 
 /// Matched events of one pattern plus timestamp envelope for pruning. The
-/// events are pointers into sealed partitions — the scan path never copies
-/// an Event.
+/// events are references into sealed partitions — the scan path never
+/// copies an event.
 struct PatternMatches {
-  std::vector<const Event*> events;
+  std::vector<EventRef> events;
   Timestamp min_start = INT64_MAX;
   Timestamp max_start = INT64_MIN;
   Timestamp min_end = INT64_MAX;
   Timestamp max_end = INT64_MIN;
 
-  void Note(const Event& event) {
-    min_start = std::min(min_start, event.start_ts);
-    max_start = std::max(max_start, event.start_ts);
-    min_end = std::min(min_end, event.end_ts);
-    max_end = std::max(max_end, event.end_ts);
+  void Note(EventRef event) {
+    min_start = std::min(min_start, event.start_ts());
+    max_start = std::max(max_start, event.start_ts());
+    min_end = std::min(min_end, event.end_ts());
+    max_end = std::max(max_end, event.end_ts());
   }
 };
 
@@ -207,13 +207,14 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
         !pattern_ast.subject.var.empty() &&
         pattern_ast.subject.var == pattern_ast.object.var;
 
-    // Partition-parallel scan (zero-copy: pointers into sealed partitions).
+    // Partition-parallel scan (zero-copy: references into sealed
+    // partitions).
     AIQL_ASSIGN_OR_RETURN(
         auto partitions,
         view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
                                 pattern.op_mask));
     stats.partitions_scanned += partitions.size();
-    std::vector<std::vector<const Event*>> local_matches(partitions.size());
+    std::vector<std::vector<EventRef>> local_matches(partitions.size());
     std::vector<uint64_t> local_scanned(partitions.size(), 0);
 
     auto scan_partition = [&](size_t pi) {
@@ -223,8 +224,7 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
       local_scanned[pi] =
           ScanPartition(*partitions[pi].second, pattern, pattern.time_range,
                         agent_filter, same_var_both_sides,
-                        &local_matches[pi], ctx,
-                        options_.enable_batch_kernels);
+                        &local_matches[pi], ctx);
     };
 
     if (options_.enable_parallelism && pool_ != nullptr &&
@@ -250,7 +250,7 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
     for (size_t pi = 0; pi < partitions.size(); ++pi) {
       stats.events_scanned += local_scanned[pi];
       total_matches += local_matches[pi].size();
-      for (const Event* event : local_matches[pi]) pm.Note(*event);
+      for (EventRef event : local_matches[pi]) pm.Note(event);
     }
     for (size_t pi = 0; pi < partitions.size(); ++pi) {
       if (local_matches[pi].empty()) continue;
@@ -278,13 +278,13 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
         size_t universe = view_->entities().NumEntities(decl.type);
         auto [it, inserted] = bindings.try_emplace(decl.var, universe);
         if (inserted) {
-          for (const Event* event : pm.events) {
-            it->second.Add(is_subject ? event->subject : event->object);
+          for (EventRef event : pm.events) {
+            it->second.Add(is_subject ? event.subject() : event.object());
           }
         } else {
           EntitySet set(universe);
-          for (const Event* event : pm.events) {
-            set.Add(is_subject ? event->subject : event->object);
+          for (EventRef event : pm.events) {
+            set.Add(is_subject ? event.subject() : event.object());
           }
           // The fused intersect-count spots an emptied binding for free: no
           // entity satisfies every occurrence of the var, so the join can
@@ -339,7 +339,7 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
 
   // Hash indexes for ranks joining on shared variables.
   using JoinIndex =
-      std::unordered_map<std::vector<EntityId>, std::vector<const Event*>,
+      std::unordered_map<std::vector<EntityId>, std::vector<EventRef>,
                          JoinKeyHash>;
   // var -> (rank, is_subject) of its first binding; used to derive keys from
   // the current partial assignment.
@@ -366,18 +366,18 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
     consider(pattern_ast.object, false);
 
     JoinIndex& index = join_indexes[rank];
-    for (const Event* event : matches[pattern.index].events) {
+    for (EventRef event : matches[pattern.index].events) {
       std::vector<EntityId> key;
       key.reserve(key_sides[rank].size());
       for (bool is_subject : key_sides[rank]) {
-        key.push_back(is_subject ? event->subject : event->object);
+        key.push_back(is_subject ? event.subject() : event.object());
       }
       index[key].push_back(event);
     }
   }
 
   std::unordered_set<std::vector<Value>, RowHash> distinct_rows;
-  std::vector<const Event*> assignment(num_patterns, nullptr);
+  std::vector<EventRef> assignment(num_patterns);
   bool limit_reached = false;
   // Join-phase governance checkpoint: every kCheckStride candidates the
   // context is charged and consulted; a violation unwinds the backtracking
@@ -420,12 +420,13 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
       int other = left == pattern_index ? right
                   : right == pattern_index ? left
                                            : -1;
-      if (other < 0 || assignment[other] == nullptr) continue;
-      const Event* a = assignment[left];
-      const Event* b = assignment[right];
+      if (other < 0 || assignment[other].partition == nullptr) continue;
+      EventRef a = assignment[left];
+      EventRef b = assignment[right];
       Duration within = rel.within;
-      bool holds = rel.before ? TemporalHolds(*a, *b, within)
-                              : TemporalHolds(*b, *a, within);
+      bool holds =
+          rel.before ? TemporalHolds(a.end_ts(), b.start_ts(), within)
+                     : TemporalHolds(b.end_ts(), a.start_ts(), within);
       if (!holds) return false;
     }
     for (const AttrRelAst& rel : ast.attr_rels) {
@@ -438,7 +439,10 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
       };
       int lp = pattern_of(rel.left);
       int rp = pattern_of(rel.right);
-      if (assignment[lp] == nullptr || assignment[rp] == nullptr) continue;
+      if (assignment[lp].partition == nullptr ||
+          assignment[rp].partition == nullptr) {
+        continue;
+      }
       if (lp != pattern_index && rp != pattern_index) continue;
       Value left = projector.Resolve(rel.left, assignment);
       Value right = projector.Resolve(rel.right, assignment);
@@ -456,7 +460,7 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
     }
     const CompiledPattern& pattern = patterns[order[rank]];
     int pattern_index = pattern.index;
-    auto try_event = [&](const Event* event) {
+    auto try_event = [&](EventRef event) {
       if (limit_reached) return;
       if (!governance_ok()) {
         limit_reached = true;  // unwind the backtracking promptly
@@ -465,10 +469,10 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
       ++stats.join_candidates;
       assignment[pattern_index] = event;
       if (relations_ok(pattern_index)) self(self, rank + 1);
-      assignment[pattern_index] = nullptr;
+      assignment[pattern_index] = EventRef{};
     };
     if (rank == 0 || key_sides[rank].empty()) {
-      for (const Event* event : matches[pattern_index].events) {
+      for (EventRef event : matches[pattern_index].events) {
         try_event(event);
         if (limit_reached) return;
       }
@@ -478,12 +482,12 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
     std::vector<EntityId> key;
     key.reserve(key_sources[rank].size());
     for (const auto& [src_rank, src_is_subject] : key_sources[rank]) {
-      const Event* src = assignment[patterns[order[src_rank]].index];
-      key.push_back(src_is_subject ? src->subject : src->object);
+      EventRef src = assignment[patterns[order[src_rank]].index];
+      key.push_back(src_is_subject ? src.subject() : src.object());
     }
     auto it = join_indexes[rank].find(key);
     if (it == join_indexes[rank].end()) return;
-    for (const Event* event : it->second) {
+    for (EventRef event : it->second) {
       try_event(event);
       if (limit_reached) return;
     }

@@ -4,20 +4,31 @@
 
 namespace aiql {
 
-Value Projector::Resolve(const AttrRefAst& ref,
-                         const std::vector<const Event*>& assignment) const {
+template <typename EventAt>
+Value Projector::ResolveWith(const AttrRefAst& ref,
+                             const EventAt& event_at) const {
   auto event_it = analyzed_.event_index.find(ref.var);
   if (event_it != analyzed_.event_index.end()) {
-    const Event& event = *assignment[event_it->second];
+    const Event event = event_at(event_it->second);
     return EventAttr(event, ref.attr.empty() ? "amount" : ref.attr);
   }
   const auto& occurrences = analyzed_.entity_occurrences.at(ref.var);
   const VarOccurrence& occ = occurrences.front();
-  const Event& event = *assignment[occ.pattern];
+  const Event event = event_at(occ.pattern);
   EntityId id = occ.is_subject ? event.subject : event.object;
   EntityType type =
       occ.is_subject ? EntityType::kProcess : event.object_type;
   return EntityAttr(type, id, ref.attr);
+}
+
+Value Projector::Resolve(const AttrRefAst& ref,
+                         const std::vector<EventRef>& assignment) const {
+  return ResolveWith(ref, [&](int p) { return assignment[p].Get(); });
+}
+
+Value Projector::Resolve(const AttrRefAst& ref,
+                         const std::vector<const Event*>& assignment) const {
+  return ResolveWith(ref, [&](int p) { return *assignment[p]; });
 }
 
 Value Projector::EventAttr(const Event& event, const std::string& attr) const {
@@ -117,9 +128,9 @@ bool CompareValues(const Value& left, CmpOp op, const Value& right) {
   }
 }
 
-bool TemporalHolds(const Event& a, const Event& b, Duration within) {
-  if (a.end_ts > b.start_ts) return false;
-  if (within > 0 && b.start_ts - a.end_ts > within) return false;
+bool TemporalHolds(Timestamp a_end, Timestamp b_start, Duration within) {
+  if (a_end > b_start) return false;
+  if (within > 0 && b_start - a_end > within) return false;
   return true;
 }
 

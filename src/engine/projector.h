@@ -11,6 +11,7 @@
 #include "query/analyzer.h"
 #include "query/ast.h"
 #include "storage/entity_store.h"
+#include "storage/partition.h"
 
 namespace aiql {
 
@@ -23,6 +24,8 @@ class Projector {
   /// Resolves `ref` against `assignment` (event per pattern, in query
   /// order). The referenced pattern must be assigned (non-null).
   Value Resolve(const AttrRefAst& ref,
+                const std::vector<EventRef>& assignment) const;
+  Value Resolve(const AttrRefAst& ref,
                 const std::vector<const Event*>& assignment) const;
 
   /// Event attribute access (amount / start_time / end_time / agentid / op).
@@ -33,6 +36,11 @@ class Projector {
                    const std::string& attr) const;
 
  private:
+  /// Resolves `ref` against the event `event_at(pattern)` bound to its
+  /// pattern.
+  template <typename EventAt>
+  Value ResolveWith(const AttrRefAst& ref, const EventAt& event_at) const;
+
   const EntityStore& store_;
   const AnalyzedQuery& analyzed_;
 };
@@ -41,9 +49,9 @@ class Projector {
 /// numbers numeric). Used for explicit attribute relationships.
 bool CompareValues(const Value& left, CmpOp op, const Value& right);
 
-/// evt_a `before` evt_b: a's interval ends no later than b starts; a
-/// positive `within` additionally bounds the gap.
-bool TemporalHolds(const Event& a, const Event& b, Duration within);
+/// evt_a `before` evt_b: a's interval ends (`a_end`) no later than b starts
+/// (`b_start`); a positive `within` additionally bounds the gap.
+bool TemporalHolds(Timestamp a_end, Timestamp b_start, Duration within);
 
 }  // namespace aiql
 

@@ -39,9 +39,11 @@ uint64_t NodeKey(EntityType type, EntityId id) {
 /// One admissible event found while expanding a frontier entity. Its entity
 /// ids live in the id space of `shard`, the shard that owns its partition.
 /// Partition (rank in the merged partition order) and event indexes make
-/// the post-parallel merge order deterministic.
+/// the post-parallel merge order deterministic; the event's times order the
+/// candidates closest-in-time first.
 struct Candidate {
-  const Event* event = nullptr;
+  Timestamp start_ts = 0;
+  Timestamp end_ts = 0;
   uint32_t shard = 0;
   uint32_t frontier_pos = 0;  ///< position in this hop's frontier
   uint32_t partition = 0;
@@ -178,9 +180,9 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
   result.num_roots = result.nodes.size();
 
   // Events already in the graph; a re-expanded entity (bound widening)
-  // must not duplicate them. Pointers are stable for the views' lifetime
+  // must not duplicate them. References are stable for the views' lifetime
   // and unique across shards (distinct stores).
-  std::unordered_set<const Event*> recorded_events;
+  std::unordered_set<EventRef, EventRefHash> recorded_events;
 
   // Degraded-execution bookkeeping (shard maps only): a shard that exhausts
   // its transient-fault retries under the partial policy is dropped for the
@@ -339,7 +341,7 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
     auto scan_partition = [&](size_t pi) {
       const uint32_t shard = partitions[pi].shard;
       const EventPartition& partition = *partitions[pi].partition;
-      const std::vector<Event>& events = partition.events();
+      const EventColumns& cols = partition.columns();
       std::vector<Candidate>& out = found[pi];
       uint64_t local_inspected = 0;
       // Governance: every inspected posting entry charges the row budget
@@ -358,11 +360,11 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
         if (backward) {
           // start_ts <= bound (end <= bound implies start <= bound).
           last = std::partition_point(first, last, [&](uint32_t index) {
-            return events[index].start_ts <= bound;
+            return cols.start_ts[index] <= bound;
           });
         } else {
           first = std::partition_point(first, last, [&](uint32_t index) {
-            return events[index].start_ts < bound;
+            return cols.start_ts[index] < bound;
           });
         }
         // The hop window bounds the gap to the frontier entity's bound —
@@ -376,7 +378,7 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
                                     ? SatSub(bound, options.hop_window)
                                     : SatAdd(bound, options.hop_window);
         for (const uint32_t* it = first; it != last; ++it) {
-          const Event& event = events[*it];
+          const uint32_t row = *it;
           ++local_inspected;
           if (ctx != nullptr && ++since_check >= QueryContext::kCheckStride) {
             since_check = 0;
@@ -385,30 +387,34 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
               return;
             }
           }
-          if (!OpMaskContains(allowed, event.op)) continue;
+          if (!OpMaskContains(allowed, cols.op[row])) continue;
+          const Timestamp start_ts = cols.start_ts[row];
+          const Timestamp end_ts = cols.end_ts[row];
           if (backward) {
-            if (event.end_ts > bound) continue;
-            if (windowed && event.end_ts < reach) continue;
+            if (end_ts > bound) continue;
+            if (windowed && end_ts < reach) continue;
           } else {
             // start_ts >= bound holds by the clip above.
-            if (windowed && event.start_ts > reach) continue;
+            if (windowed && start_ts > reach) continue;
           }
-          if (!window.Contains(event.start_ts)) continue;
-          if (agent_set.has_value() && !agent_set->Contains(event.agent_id)) {
+          if (!window.Contains(start_ts)) continue;
+          if (agent_set.has_value() &&
+              !agent_set->Contains(cols.agent_id[row])) {
             continue;
           }
           Candidate candidate;
-          candidate.event = &event;
+          candidate.start_ts = start_ts;
+          candidate.end_ts = end_ts;
           candidate.shard = shard;
           candidate.frontier_pos = fpos;
           candidate.partition = static_cast<uint32_t>(pi);
-          candidate.event_index = *it;
+          candidate.event_index = row;
           if (other_is_subject) {
             candidate.other_type = EntityType::kProcess;
-            candidate.other_id = event.subject;
+            candidate.other_id = cols.subject[row];
           } else {
-            candidate.other_type = event.object_type;
-            candidate.other_id = event.object;
+            candidate.other_type = cols.object_type[row];
+            candidate.other_id = cols.object[row];
           }
           if (!TypeAllowed(options, candidate.other_type)) continue;
           out.push_back(candidate);
@@ -462,6 +468,10 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
       }
     }
 
+    auto event_of = [&](const Candidate& candidate) {
+      return EventRef{partitions[candidate.partition].partition,
+                      candidate.event_index};
+    };
     std::vector<uint32_t> next_frontier;
     std::unordered_set<uint32_t> queued;
     for (uint32_t fpos = 0; fpos < frontier.size(); ++fpos) {
@@ -472,25 +482,21 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
       candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                       [&](const Candidate& candidate) {
                                         return recorded_events.count(
-                                                   candidate.event) > 0;
+                                                   event_of(candidate)) > 0;
                                       }),
                        candidates.end());
       std::sort(candidates.begin(), candidates.end(),
                 [&](const Candidate& a, const Candidate& b) {
                   if (backward) {
-                    if (a.event->end_ts != b.event->end_ts) {
-                      return a.event->end_ts > b.event->end_ts;
-                    }
-                    if (a.event->start_ts != b.event->start_ts) {
-                      return a.event->start_ts > b.event->start_ts;
+                    if (a.end_ts != b.end_ts) return a.end_ts > b.end_ts;
+                    if (a.start_ts != b.start_ts) {
+                      return a.start_ts > b.start_ts;
                     }
                   } else {
-                    if (a.event->start_ts != b.event->start_ts) {
-                      return a.event->start_ts < b.event->start_ts;
+                    if (a.start_ts != b.start_ts) {
+                      return a.start_ts < b.start_ts;
                     }
-                    if (a.event->end_ts != b.event->end_ts) {
-                      return a.event->end_ts < b.event->end_ts;
-                    }
+                    if (a.end_ts != b.end_ts) return a.end_ts < b.end_ts;
                   }
                   if (a.partition != b.partition) {
                     return a.partition < b.partition;
@@ -505,8 +511,7 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
       }
       const uint32_t this_slot = frontier[fpos];
       for (const Candidate& candidate : candidates) {
-        Timestamp bound = backward ? candidate.event->start_ts
-                                   : candidate.event->end_ts;
+        Timestamp bound = backward ? candidate.start_ts : candidate.end_ts;
         uint32_t other_slot = find_node(candidate.shard, candidate.other_type,
                                         candidate.other_id);
         if (other_slot != UINT32_MAX) {
@@ -537,9 +542,10 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
           queued.insert(other_slot);
           next_frontier.push_back(other_slot);
         }
-        recorded_events.insert(candidate.event);
+        const EventRef event = event_of(candidate);
+        recorded_events.insert(event);
         ProvenanceEdge edge;
-        edge.event = *candidate.event;
+        edge.event = event.Get();
         edge.hop = hop;
         if (backward) {
           edge.from = other_slot;  // discovered cause flows into the

@@ -20,7 +20,7 @@ constexpr uint64_t kZeroWord = 0;
 
 /// The pattern's row predicate, precompiled to flat tables and raw bitset
 /// words — no std::optional, no hash lookups, no virtual calls on the scan.
-/// Shared by the batch kernels and the (kernel-mode) posting path.
+/// Shared by the batch kernels and the posting path.
 struct RowTest {
   uint8_t op_ok[kNumOpTypes] = {};   ///< op acceptance table
   uint8_t target_object_type = 0;
@@ -77,9 +77,9 @@ inline uint8_t ProbeBit(const uint64_t* words, size_t nwords, uint32_t id) {
 /// per-predicate mask passes and emits matches in ascending row order. Each
 /// pass is a short branch-free loop over flat arrays; the per-chunk `if`s
 /// are loop-invariant predicate-presence checks, not per-row branches.
-void RunBatch(const EventColumns& cols, const std::vector<Event>& events,
-              const RowTest& t, size_t begin, size_t n,
-              std::vector<const Event*>* out) {
+void RunBatch(const EventPartition& partition, const RowTest& t, size_t begin,
+              size_t n, std::vector<EventRef>* out) {
+  const EventColumns& cols = partition.columns();
   uint8_t ok[kScanBatch];
   const OpType* op = cols.op.data() + begin;
   const EntityType* otype = cols.object_type.data() + begin;
@@ -112,12 +112,14 @@ void RunBatch(const EventColumns& cols, const std::vector<Event>& events,
     }
   }
   for (size_t j = 0; j < n; ++j) {
-    if (ok[j]) out->push_back(&events[begin + j]);
+    if (ok[j]) {
+      out->push_back(EventRef{&partition, static_cast<uint32_t>(begin + j)});
+    }
   }
 }
 
 /// Scalar form of the complete predicate (op included), for the posting
-/// path (random rows, op trivially matches) and the governed boundary row.
+/// path (random rows) and the governed boundary row.
 inline bool TestRow(const EventColumns& cols, const RowTest& t, size_t i) {
   if (t.op_ok[static_cast<size_t>(cols.op[i])] == 0) return false;
   if (static_cast<uint8_t>(cols.object_type[i]) != t.target_object_type) {
@@ -140,23 +142,22 @@ inline bool TestRow(const EventColumns& cols, const RowTest& t, size_t i) {
   return true;
 }
 
-/// Columnar batch driver under governance, replicating the legacy per-row
-/// loop's charge semantics exactly: rows charge in kCheckStride batches;
-/// the row that completes a stride is counted inspected, charged, and
-/// evaluated only if the charge succeeds. Stride boundaries are handled as
-/// chunk ends (kCheckStride % kScanBatch == 0 keeps them aligned), so
-/// inspected counts and outputs match the legacy loop bit for bit on
-/// deterministic (budget-driven) violations.
-uint64_t GovernedBatchScan(const EventColumns& cols,
-                           const std::vector<Event>& events, const RowTest& t,
+/// Columnar batch driver under governance, with the posting path's charge
+/// semantics: rows charge in kCheckStride batches; the row that completes a
+/// stride is counted inspected, charged, and evaluated only if the charge
+/// succeeds. Stride boundaries are handled as chunk ends
+/// (kCheckStride % kScanBatch == 0 keeps them aligned), so a budget stops
+/// the scan at the same row whichever path runs.
+uint64_t GovernedBatchScan(const EventPartition& partition, const RowTest& t,
                            size_t row_begin, size_t row_end,
-                           std::vector<const Event*>* out, QueryContext* ctx) {
+                           std::vector<EventRef>* out, QueryContext* ctx) {
+  const EventColumns& cols = partition.columns();
   uint64_t inspected = 0;
   uint64_t since_check = 0;
   size_t i = row_begin;
   while (i < row_end) {
-    // Mirrors the legacy loop's per-row stopped() early-out at chunk
-    // granularity: the stopping row counts as inspected, unevaluated.
+    // A stop observed at a chunk start: the stopping row counts as
+    // inspected, unevaluated.
     if (ctx->stopped()) {
       ++inspected;
       ++since_check;
@@ -168,21 +169,22 @@ uint64_t GovernedBatchScan(const EventColumns& cols,
     bool hits_boundary = (static_cast<uint64_t>(limit) == room);
     size_t eval_now = hits_boundary ? limit - 1 : limit;
     for (size_t b = i; b < i + eval_now; b += kScanBatch) {
-      RunBatch(cols, events, t, b, std::min(kScanBatch, i + eval_now - b),
-               out);
+      RunBatch(partition, t, b, std::min(kScanBatch, i + eval_now - b), out);
     }
     inspected += eval_now;
     since_check += eval_now;
     i += eval_now;
     if (hits_boundary) {
       // The stride-completing row: inspected and charged before evaluation,
-      // evaluated only when the budget still holds (legacy keep_going()).
+      // evaluated only when the budget still holds.
       ++inspected;
       ++since_check;
       Status s = ctx->ChargeRows(since_check);
       since_check = 0;
       if (!s.ok()) return inspected;
-      if (TestRow(cols, t, i)) out->push_back(&events[i]);
+      if (TestRow(cols, t, i)) {
+        out->push_back(EventRef{&partition, static_cast<uint32_t>(i)});
+      }
       ++i;
     }
   }
@@ -196,78 +198,16 @@ uint64_t GovernedBatchScan(const EventColumns& cols,
 uint64_t ScanPartition(const EventPartition& partition,
                        const CompiledPattern& pattern, const TimeRange& range,
                        const AgentFilterSet* agent_filter,
-                       bool same_var_both_sides,
-                       std::vector<const Event*>* out,
-                       QueryContext* ctx, bool enable_batch_kernels) {
-  const EventColumns& cols = partition.columns();
-  const std::vector<Event>& events = partition.events();
-
-  // Governance checkpoint: charges the rows inspected since the previous
-  // checkpoint and reports whether the scan should keep going. Checked
-  // every kCheckStride inspected rows so the per-row cost stays one
-  // branch + counter increment.
-  uint64_t since_check = 0;
-  auto keep_going = [&]() {
-    if (ctx == nullptr) return true;
-    if (++since_check < QueryContext::kCheckStride) return !ctx->stopped();
-    Status s = ctx->ChargeRows(since_check);
-    since_check = 0;
-    return s.ok();
-  };
-  auto flush_charge = [&](uint64_t inspected) {
-    if (ctx != nullptr && since_check > 0) ctx->ChargeRows(since_check);
-    return inspected;
-  };
-
-  // Unsealed partitions have no columns/postings; fall back to the row
-  // store rather than silently matching nothing (the engine contract says
-  // sealed, but the scheduler tolerates unsealed the same way).
-  if (!partition.sealed()) {
-    uint64_t inspected = 0;
-    for (const Event& event : events) {
-      if (!range.Contains(event.start_ts)) continue;
-      ++inspected;
-      if (!keep_going()) return flush_charge(inspected);
-      if (!OpMaskContains(pattern.op_mask, event.op)) continue;
-      if (event.object_type != pattern.object.type) continue;
-      if (agent_filter != nullptr && !agent_filter->Contains(event.agent_id)) {
-        continue;
-      }
-      if (!FilterAccepts(pattern.subject, event.subject)) continue;
-      if (!FilterAccepts(pattern.object, event.object)) continue;
-      if (same_var_both_sides && event.subject != event.object) continue;
-      out->push_back(&event);
-    }
-    return flush_charge(inspected);
-  }
-
+                       bool same_var_both_sides, std::vector<EventRef>* out,
+                       QueryContext* ctx) {
   size_t row_begin = partition.LowerBound(range.start);
   size_t row_end = partition.LowerBound(range.end);
   if (row_begin >= row_end) return 0;
   size_t range_rows = row_end - row_begin;
 
+  const EventColumns& cols = partition.columns();
   const RowTest row_test = MakeRowTest(pattern, agent_filter,
                                        same_var_both_sides);
-
-  // Every filter below reads columns only; the row store is touched once per
-  // match, to take the event's address. The legacy lambda is kept verbatim
-  // for kernels-off runs (the oracle's differential baseline).
-  auto test_legacy = [&](size_t i) {
-    if (cols.object_type[i] != pattern.object.type) return;
-    if (agent_filter != nullptr && !agent_filter->Contains(cols.agent_id[i]))
-      return;
-    if (!FilterAccepts(pattern.subject, cols.subject[i])) return;
-    if (!FilterAccepts(pattern.object, cols.object[i])) return;
-    if (same_var_both_sides && cols.subject[i] != cols.object[i]) return;
-    out->push_back(&events[i]);
-  };
-  auto test = [&](size_t i) {
-    if (enable_batch_kernels) {
-      if (TestRow(cols, row_test, i)) out->push_back(&events[i]);
-    } else {
-      test_legacy(i);
-    }
-  };
 
   // Gather the time-clipped posting cursors for the ops in the mask; their
   // combined length is the exact number of op-matching events in range.
@@ -289,58 +229,67 @@ uint64_t ScanPartition(const EventPartition& partition,
   // Posting path pays one indirection per op-matching event; the columnar
   // path streams every row in range but tests the op from a dense column.
   // Prefer postings when they skip at least half the range.
-  if (posting_rows * 2 <= range_rows) {
-    uint64_t inspected = 0;
-    if (num_cursors == 1) {
-      for (const uint32_t* it = cursors[0].it; it != cursors[0].end; ++it) {
-        ++inspected;
-        if (!keep_going()) return flush_charge(inspected);
-        test(*it);
-      }
-    } else {
-      // K-way merge (k <= kNumOpTypes) by event index keeps the output in
-      // ascending index order, matching the row scan exactly.
-      while (true) {
-        int best = -1;
-        uint32_t best_index = UINT32_MAX;
-        for (int c = 0; c < num_cursors; ++c) {
-          if (cursors[c].it != cursors[c].end && *cursors[c].it < best_index) {
-            best = c;
-            best_index = *cursors[c].it;
-          }
-        }
-        if (best < 0) break;
-        ++inspected;
-        if (!keep_going()) return flush_charge(inspected);
-        test(best_index);
-        ++cursors[best].it;
-      }
-    }
-    return flush_charge(posting_rows);
-  }
-
-  if (enable_batch_kernels) {
+  if (posting_rows * 2 > range_rows) {
     if (ctx == nullptr) {
       // Ungoverned hot path: straight-line batch kernels over the clipped
       // row range; the time filter is the clip itself.
       for (size_t b = row_begin; b < row_end; b += kScanBatch) {
-        RunBatch(cols, events, row_test, b,
-                 std::min(kScanBatch, row_end - b), out);
+        RunBatch(partition, row_test, b, std::min(kScanBatch, row_end - b),
+                 out);
       }
       return range_rows;
     }
-    return GovernedBatchScan(cols, events, row_test, row_begin, row_end, out,
+    return GovernedBatchScan(partition, row_test, row_begin, row_end, out,
                              ctx);
   }
 
+  // Governance checkpoint: charges the rows inspected since the previous
+  // checkpoint and reports whether the scan should keep going. Checked
+  // every kCheckStride inspected rows so the per-row cost stays one
+  // branch + counter increment.
+  uint64_t since_check = 0;
+  auto keep_going = [&]() {
+    if (ctx == nullptr) return true;
+    if (++since_check < QueryContext::kCheckStride) return !ctx->stopped();
+    Status s = ctx->ChargeRows(since_check);
+    since_check = 0;
+    return s.ok();
+  };
+  auto flush_charge = [&](uint64_t inspected) {
+    if (ctx != nullptr && since_check > 0) ctx->ChargeRows(since_check);
+    return inspected;
+  };
+  auto test = [&](uint32_t i) {
+    if (TestRow(cols, row_test, i)) out->push_back(EventRef{&partition, i});
+  };
+
   uint64_t inspected = 0;
-  for (size_t i = row_begin; i < row_end; ++i) {
-    ++inspected;
-    if (!keep_going()) return flush_charge(inspected);
-    if (!OpMaskContains(pattern.op_mask, cols.op[i])) continue;
-    test_legacy(i);
+  if (num_cursors == 1) {
+    for (const uint32_t* it = cursors[0].it; it != cursors[0].end; ++it) {
+      ++inspected;
+      if (!keep_going()) return flush_charge(inspected);
+      test(*it);
+    }
+  } else {
+    // K-way merge (k <= kNumOpTypes) by event index keeps the output in
+    // ascending index order, matching the row scan exactly.
+    while (true) {
+      int best = -1;
+      uint32_t best_index = UINT32_MAX;
+      for (int c = 0; c < num_cursors; ++c) {
+        if (cursors[c].it != cursors[c].end && *cursors[c].it < best_index) {
+          best = c;
+          best_index = *cursors[c].it;
+        }
+      }
+      if (best < 0) break;
+      ++inspected;
+      if (!keep_going()) return flush_charge(inspected);
+      test(best_index);
+      ++cursors[best].it;
+    }
   }
-  return flush_charge(range_rows);
+  return flush_charge(posting_rows);
 }
 
 }  // namespace aiql

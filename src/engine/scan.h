@@ -1,22 +1,18 @@
 // Zero-copy partition scan for compiled event patterns (paper §2.3).
 //
-// One scan inspects a sealed partition and appends pointers to the matching
-// events — no Event is copied anywhere on the scan path; the pointers alias
-// `partition.events()` and stay valid for the life of the partition. Two
-// strategies share the same match predicate:
+// One scan inspects a sealed partition's columns and appends an EventRef
+// (partition, row) per matching event — no event is copied on the scan
+// path. Two strategies share the same match predicate:
 //   * posting path — when the pattern's op mask selects few events, iterate
 //     the per-operation posting lists (time-clipped via their zone maps),
 //     merging multiple lists in ascending index order;
-//   * columnar path — otherwise, walk the time-clipped row range over the
-//     structure-of-arrays columns. With batch kernels enabled (the default)
-//     the walk runs kScanBatch rows at a time through branch-free mask
-//     passes: an op-acceptance table, an object-type compare, and raw-word
+//   * columnar path — otherwise, walk the time-clipped row range
+//     kScanBatch rows at a time through branch-free mask passes: an
+//     op-acceptance table, an object-type compare, and raw-word
 //     candidate-bitset tests — every predicate a u32/u8 integer op the
-//     compiler can auto-vectorize. Kernels off falls back to the historical
-//     row-at-a-time loop (the oracle's differential baseline).
-// All strategies produce matches in ascending event-index order and charge
-// governance identically, so kernel-on and kernel-off runs are
-// pointer-identical.
+//     compiler can auto-vectorize.
+// Both strategies produce matches in ascending row order and charge
+// governance per inspected row.
 
 #ifndef AIQL_ENGINE_SCAN_H_
 #define AIQL_ENGINE_SCAN_H_
@@ -39,28 +35,24 @@ using AgentFilterSet = IdFilter;
 /// batch boundaries align with governance stride boundaries.
 inline constexpr size_t kScanBatch = 16;
 static_assert(QueryContext::kCheckStride % kScanBatch == 0,
-              "batch kernels replicate row-charge semantics at stride "
-              "boundaries; the stride must be batch-aligned");
+              "governed batch scans charge at stride boundaries; the stride "
+              "must be batch-aligned");
 
 /// Scans `partition` for events matching `pattern` within `range` and
-/// appends pointers into `partition.events()` to `*out`. `agent_filter` may
-/// be null (no per-event agent check); `same_var_both_sides` additionally
-/// requires subject == object. Returns the number of events inspected.
-/// The partition must be sealed.
+/// appends references to them to `*out`. `agent_filter` may be null (no
+/// per-event agent check); `same_var_both_sides` additionally requires
+/// subject == object. Returns the number of events inspected. The
+/// partition must be sealed.
 ///
 /// `ctx` (optional) is charged one row per event inspected, at
 /// QueryContext::kCheckStride granularity; on a governance violation the
 /// scan stops early (partial `out`, partial count) and the caller observes
-/// the latched status via ctx->Check(). `enable_batch_kernels` selects the
-/// batch-at-a-time columnar kernels (EngineOptions::enable_batch_kernels);
-/// both settings produce identical output, inspected counts, and charges.
+/// the latched status via ctx->Check().
 uint64_t ScanPartition(const EventPartition& partition,
                        const CompiledPattern& pattern, const TimeRange& range,
                        const AgentFilterSet* agent_filter,
-                       bool same_var_both_sides,
-                       std::vector<const Event*>* out,
-                       QueryContext* ctx = nullptr,
-                       bool enable_batch_kernels = true);
+                       bool same_var_both_sides, std::vector<EventRef>* out,
+                       QueryContext* ctx = nullptr);
 
 }  // namespace aiql
 

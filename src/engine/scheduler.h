@@ -37,10 +37,6 @@ struct EngineOptions {
   /// Temporal pruning: `before`/`after` relations tighten later scans'
   /// time ranges using matched events' timestamps.
   bool enable_temporal_pruning = true;
-  /// Batch-at-a-time columnar scan kernels (dictionary-id predicate tests
-  /// over the SoA columns). Off = historical row-at-a-time loop; results
-  /// are identical either way (the oracle diffs both).
-  bool enable_batch_kernels = true;
 
   // --- Query governance (deadlines, budgets, degraded execution) ---
 

@@ -46,22 +46,22 @@ DegradedInfo SummarizeShards(std::vector<ShardExecStatus> shard_status) {
   return info;
 }
 
-/// Globally merged matches of one pattern: per-shard event pointers (ids
-/// are shard-local) plus the cross-shard timestamp envelope that drives
-/// temporal pruning of later patterns.
+/// Globally merged matches of one pattern: per-shard event references
+/// (ids are shard-local) plus the cross-shard timestamp envelope that
+/// drives temporal pruning of later patterns.
 struct GlobalMatches {
-  std::vector<std::vector<const Event*>> per_shard;
+  std::vector<std::vector<EventRef>> per_shard;
   size_t total = 0;
   Timestamp min_start = INT64_MAX;
   Timestamp max_start = INT64_MIN;
   Timestamp min_end = INT64_MAX;
   Timestamp max_end = INT64_MIN;
 
-  void Note(const Event& event) {
-    min_start = std::min(min_start, event.start_ts);
-    max_start = std::max(max_start, event.start_ts);
-    min_end = std::min(min_end, event.end_ts);
-    max_end = std::max(max_end, event.end_ts);
+  void Note(EventRef event) {
+    min_start = std::min(min_start, event.start_ts());
+    max_start = std::max(max_start, event.start_ts());
+    min_end = std::min(min_end, event.end_ts());
+    max_end = std::max(max_end, event.end_ts());
   }
 };
 
@@ -354,7 +354,7 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
                      });
     scatter_stats.partitions_scanned += flat.size();
 
-    std::vector<std::vector<const Event*>> local(flat.size());
+    std::vector<std::vector<EventRef>> local(flat.size());
     std::vector<uint64_t> local_scanned(flat.size(), 0);
     auto scan_partition = [&](size_t i) {
       ScopedQueryContext bind(ctx);
@@ -366,8 +366,7 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
       // so its scatter must not either (central re-run settles semantics).
       local_scanned[i] = ScanPartition(
           *fp.partition, compiled[fp.shard][p], ranges[p], agent_filter,
-          anomaly ? false : same_var_both_sides, &local[i], ctx,
-          options.enable_batch_kernels);
+          anomaly ? false : same_var_both_sides, &local[i], ctx);
     };
     if (options.enable_parallelism && pool != nullptr && flat.size() > 1) {
       if (ctx != nullptr) {
@@ -387,9 +386,9 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
     GlobalMatches& gm = matches[p];
     for (size_t i = 0; i < flat.size(); ++i) {
       scatter_stats.events_scanned += local_scanned[i];
-      for (const Event* event : local[i]) gm.Note(*event);
+      for (EventRef event : local[i]) gm.Note(event);
       gm.total += local[i].size();
-      std::vector<const Event*>& dest = gm.per_shard[flat[i].shard];
+      std::vector<EventRef>& dest = gm.per_shard[flat[i].shard];
       dest.insert(dest.end(), local[i].begin(), local[i].end());
     }
     scatter_stats.events_matched += gm.total;
@@ -405,8 +404,8 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
         std::unordered_map<std::string, ObjectRef> occurrence;
         for (size_t s = 0; s < num_shards; ++s) {
           std::unordered_set<EntityId> unique_ids;
-          for (const Event* event : gm.per_shard[s]) {
-            unique_ids.insert(is_subject ? event->subject : event->object);
+          for (EventRef event : gm.per_shard[s]) {
+            unique_ids.insert(is_subject ? event.subject() : event.object());
           }
           for (EntityId id : unique_ids) {
             ObjectRef ref = MakeEntityRef(views[s].entities(), decl.type, id);
@@ -462,10 +461,10 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
   mini_options.dedup_window = 0;
   mini_options.partition_duration = views[0].options().partition_duration;
   AuditDatabase mini(mini_options);
-  std::unordered_set<const Event*> gathered;
+  std::unordered_set<EventRef, EventRefHash> gathered;
   for (int p = 0; p < num_patterns; ++p) {
     for (size_t s = 0; s < num_shards; ++s) {
-      for (const Event* event : matches[p].per_shard[s]) {
+      for (EventRef event : matches[p].per_shard[s]) {
         if (!gathered.insert(event).second) continue;  // multi-pattern match
         // Cross-shard gathering is the memory-amplifying step: charge the
         // context per rebuilt event so a memory budget caps the rebuild.
@@ -473,7 +472,7 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
           AIQL_RETURN_IF_ERROR(ctx->ChargeMemory(sizeof(EventRecord)));
         }
         AIQL_RETURN_IF_ERROR(
-            mini.Append(RecordForEvent(*event, views[s].entities())));
+            mini.Append(RecordForEvent(event.Get(), views[s].entities())));
       }
     }
   }

@@ -140,11 +140,10 @@ Result<QueryResult> GraphExecutor::Execute(const AnalyzedQuery& analyzed) {
       if (assignment[left] == nullptr || assignment[right] == nullptr) {
         continue;
       }
-      bool holds = rel.before
-                       ? TemporalHolds(*assignment[left], *assignment[right],
-                                       rel.within)
-                       : TemporalHolds(*assignment[right], *assignment[left],
-                                       rel.within);
+      const Event& l = *assignment[left];
+      const Event& r = *assignment[right];
+      bool holds = rel.before ? TemporalHolds(l.end_ts, r.start_ts, rel.within)
+                              : TemporalHolds(r.end_ts, l.start_ts, rel.within);
       if (!holds) return false;
     }
     for (const AttrRelAst& rel : ast.attr_rels) {

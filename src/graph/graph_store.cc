@@ -29,8 +29,8 @@ GraphStore::GraphStore(const AuditDatabase* db) : entities_(&db->entities()) {
   for (const auto& [key, partition] :
        db->SelectPartitions(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt)) {
     (void)key;
-    for (const Event& event : partition->events()) {
-      AddEdge(event);
+    for (size_t row = 0; row < partition->size(); ++row) {
+      AddEdge(partition->Row(row));
     }
   }
 }

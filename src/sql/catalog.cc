@@ -78,7 +78,8 @@ Status OptimizedCatalog::Scan(
     int64_t row_id = 0;
     for (const auto& [key, partition] :
          db_->SelectPartitions(hints.time, hints.agents)) {
-      for (const Event& e : partition->events()) {
+      for (size_t i = 0; i < partition->size(); ++i) {
+        const Event e = partition->Row(i);
         fn({SqlValue(row_id++),
             SqlValue(static_cast<int64_t>(e.agent_id)),
             SqlValue(static_cast<int64_t>(e.subject)),
@@ -116,7 +117,8 @@ Status FlatCatalog::Scan(
   for (const auto& [key, partition] :
        db_->SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
                              std::nullopt)) {
-    for (const Event& e : partition->events()) {
+    for (size_t i = 0; i < partition->size(); ++i) {
+      const Event e = partition->Row(i);
       const ProcessEntity& subj = es.processes()[e.subject];
       std::vector<SqlValue> row(kAuditLogColumns.size());
       row[0] = static_cast<int64_t>(e.agent_id);

@@ -299,12 +299,6 @@ Status AuditDatabase::CommitRecordLocked(const EventRecord& record) {
   return Status::OK();
 }
 
-EventPartition* AuditDatabase::GetOrCreatePartition(int64_t bucket,
-                                                    AgentId agent) {
-  std::unique_lock<std::shared_mutex> lock(sync_->state_mu);
-  return GetOrCreatePartitionLocked(bucket, agent);
-}
-
 EventPartition* AuditDatabase::GetOrCreatePartitionLocked(int64_t bucket,
                                                           AgentId agent) {
   auto open_key = std::make_pair(bucket, agent);
@@ -399,29 +393,6 @@ Status AuditDatabase::Seal() {
     stats_.partitions_sealed += newly_sealed;
   }
   return status;
-}
-
-void AuditDatabase::RestoreSealedState() {
-  std::unique_lock<std::shared_mutex> lock(sync_->state_mu);
-  stats_ = DatabaseStats{};
-  stats_.total_partitions = partitions_.size();
-  stats_.partitions_sealed = partitions_.size();
-  for (auto& [key, partition] : partitions_) {
-    partition->RebuildStats(entities_.processes());
-    partition->Seal();
-    stats_.total_events += partition->size();
-    stats_.raw_events += partition->raw_event_count();
-    for (int op = 0; op < kNumOpTypes; ++op) {
-      stats_.op_counts[op] += partition->OpCount(static_cast<OpType>(op));
-    }
-    if (partition->size() > 0) {
-      stats_.min_ts = std::min(stats_.min_ts, partition->min_ts());
-      stats_.max_ts = std::max(stats_.max_ts, partition->max_ts());
-    }
-  }
-  open_.clear();
-  agent_clock_.clear();
-  sync_->finalized.store(true, std::memory_order_release);
 }
 
 void AuditDatabase::AdoptSealedPartition(
@@ -543,6 +514,7 @@ AuditDatabase::SelectPartitions(
   std::shared_lock<std::shared_mutex> lock(sync_->state_mu);
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
   for (const auto& [key, partition] : partitions_) {
+    if (!partition->sealed()) continue;
     PartitionKey pk{std::get<0>(key), std::get<1>(key)};
     if (!PartitionStatsSelected(range, agents, kAllOps, nullptr,
                                 options_.enable_partitioning,

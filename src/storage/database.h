@@ -269,8 +269,7 @@ class ReadView {
 /// closed partitions automatically) -> Seal() to flush and freeze
 /// everything. Read path: OpenReadView() at any time; the raw
 /// SelectPartitions / ForEachPartition / partitions() accessors remain for
-/// batch consumers (snapshot, SQL/graph baselines) on a sealed or
-/// quiescent database.
+/// batch consumers (snapshot, SQL/graph baselines) on a sealed database.
 class AuditDatabase {
  public:
   explicit AuditDatabase(StorageOptions options = {});
@@ -322,16 +321,15 @@ class AuditDatabase {
   /// Thread-safe copy of the current statistics.
   DatabaseStats StatsSnapshot() const;
 
-  // --- batch read access (sealed or quiescent database) --------------------
+  // --- batch read access (sealed database) ---------------------------------
 
   const EntityStore& entities() const { return entities_; }
   const StorageOptions& options() const { return options_; }
   const DatabaseStats& stats() const { return stats_; }
 
-  /// Partitions overlapping `range`, optionally restricted to `agents`
-  /// (nullopt = all agents), regardless of seal state. Ordered by
-  /// (bucket, agent, seq). Streaming queries go through OpenReadView()
-  /// instead.
+  /// Sealed partitions overlapping `range`, optionally restricted to
+  /// `agents` (nullopt = all agents). Ordered by (bucket, agent, seq).
+  /// Streaming queries go through OpenReadView() instead.
   std::vector<std::pair<PartitionKey, const EventPartition*>> SelectPartitions(
       const TimeRange& range,
       const std::optional<std::vector<AgentId>>& agents) const;
@@ -351,10 +349,6 @@ class AuditDatabase {
 
   /// Mutable access used by snapshot loading.
   EntityStore* mutable_entities() { return &entities_; }
-  /// Returns the open partition of (bucket, agent), creating one if the
-  /// previous partition of that pair was already sealed (rollover).
-  EventPartition* GetOrCreatePartition(int64_t bucket, AgentId agent);
-  void RestoreSealedState();
 
   /// Snapshot-v2 load hooks: AdoptSealedPartition installs an
   /// already-sealed partition (indexes and statistics intact) under

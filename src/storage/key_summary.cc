@@ -31,9 +31,10 @@ uint64_t SummaryHash(uint64_t key) {
   return key ^ (key >> 31);
 }
 
-std::string BuildKeySummary(const EventPartition& partition) {
-  const std::vector<uint64_t>& subjects = partition.subject_index().keys;
-  const std::vector<uint64_t>& objects = partition.object_index().keys;
+std::string BuildKeySummary(const EntityPostingIndex& subject_index,
+                            const EntityPostingIndex& object_index) {
+  const std::vector<uint64_t>& subjects = subject_index.keys;
+  const std::vector<uint64_t>& objects = object_index.keys;
   const uint64_t keys = subjects.size() + objects.size();
   std::string summary((keys * kSummaryBitsPerKey + 7) / 8, '\0');
   const uint64_t m = summary.size() * 8;

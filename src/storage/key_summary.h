@@ -38,10 +38,11 @@ inline uint64_t ObjectSummaryKey(EntityType type, EntityId id) {
 /// Hash of a summary-space key; the probes of every filter derive from it.
 uint64_t SummaryHash(uint64_t key);
 
-/// Summary of a sealed partition: kSummaryBitsPerKey bits per distinct
-/// subject and object key, rounded up to whole bytes. Empty for an empty
-/// partition.
-std::string BuildKeySummary(const EventPartition& partition);
+/// Summary of a sealed partition's reverse indexes: kSummaryBitsPerKey bits
+/// per distinct subject and object key, rounded up to whole bytes. Empty for
+/// an empty partition.
+std::string BuildKeySummary(const EntityPostingIndex& subject_index,
+                            const EntityPostingIndex& object_index);
 
 /// Largest summary a partition of `events` events can carry: every event
 /// adds at most one subject key and one object key. Saturates.

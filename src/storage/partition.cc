@@ -10,28 +10,34 @@ bool EventPartition::Append(const Event& event, Duration dedup_window) {
 
 bool EventPartition::AppendWithExe(const Event& event, StringId subject_exe,
                                    Duration dedup_window) {
-  raw_count_ += 1;
+  raw_count_ += event.merge_count;
   if (dedup_window > 0) {
     MergeKey key{event.subject, event.object, event.op, event.object_type};
     auto it = merge_tail_.find(key);
     if (it != merge_tail_.end()) {
-      Event& tail = events_[it->second];
+      Event& tail = buffer_[it->second];
+      // start - tail.end <= window, compared without forming the
+      // difference: both timestamps come from outside input, and the gap
+      // between them can exceed the int64 range.
       if (event.start_ts >= tail.start_ts &&
-          event.start_ts - tail.end_ts <= dedup_window) {
+          (event.start_ts <= tail.end_ts ||
+           static_cast<uint64_t>(event.start_ts) -
+                   static_cast<uint64_t>(tail.end_ts) <=
+               static_cast<uint64_t>(dedup_window))) {
         tail.end_ts = std::max(tail.end_ts, event.end_ts);
         tail.amount += event.amount;
         tail.merge_count += event.merge_count;
         if (tail.end_ts > max_ts_) max_ts_ = tail.end_ts;
         return true;
       }
-      it->second = events_.size();
-      events_.push_back(event);
+      it->second = buffer_.size();
+      buffer_.push_back(event);
       AccountEvent(event, subject_exe);
       return false;
     }
-    merge_tail_.emplace(key, events_.size());
+    merge_tail_.emplace(key, buffer_.size());
   }
-  events_.push_back(event);
+  buffer_.push_back(event);
   AccountEvent(event, subject_exe);
   return false;
 }
@@ -56,25 +62,15 @@ bool EventPartition::TryBeginSeal() {
 }
 
 void EventPartition::FinishSeal() {
-  std::sort(events_.begin(), events_.end(),
+  std::sort(buffer_.begin(), buffer_.end(),
             [](const Event& a, const Event& b) {
               if (a.start_ts != b.start_ts) return a.start_ts < b.start_ts;
               return a.end_ts < b.end_ts;
             });
-  merge_tail_.clear();
+  merge_tail_ = {};
   BuildSealArtifacts();
+  buffer_ = {};
   seal_state_.store(kSealed, std::memory_order_release);
-}
-
-void EventColumns::Clear() {
-  start_ts.clear();
-  end_ts.clear();
-  subject.clear();
-  object.clear();
-  agent_id.clear();
-  amount.clear();
-  op.clear();
-  object_type.clear();
 }
 
 void EventColumns::Reserve(size_t n) {
@@ -84,6 +80,7 @@ void EventColumns::Reserve(size_t n) {
   object.reserve(n);
   agent_id.reserve(n);
   amount.reserve(n);
+  merge_count.reserve(n);
   op.reserve(n);
   object_type.reserve(n);
 }
@@ -95,8 +92,21 @@ void EventColumns::PushBack(const Event& event) {
   object.push_back(event.object);
   agent_id.push_back(event.agent_id);
   amount.push_back(event.amount);
+  merge_count.push_back(event.merge_count);
   op.push_back(event.op);
   object_type.push_back(event.object_type);
+}
+
+Event EventPartition::Row(size_t i) const {
+  return Event{.start_ts = columns_.start_ts[i],
+               .end_ts = columns_.end_ts[i],
+               .amount = columns_.amount[i],
+               .subject = columns_.subject[i],
+               .object = columns_.object[i],
+               .agent_id = columns_.agent_id[i],
+               .merge_count = columns_.merge_count[i],
+               .op = columns_.op[i],
+               .object_type = columns_.object_type[i]};
 }
 
 void EntityPostingIndex::Clear() {
@@ -143,8 +153,7 @@ void BuildEntityIndex(const std::vector<uint64_t>& event_keys,
 }  // namespace
 
 void EventPartition::BuildSealArtifacts() {
-  columns_.Clear();
-  columns_.Reserve(events_.size());
+  columns_.Reserve(buffer_.size());
   for (OpPostingList& list : op_postings_) {
     list.indexes.clear();
     list.min_start_ts = INT64_MAX;
@@ -153,8 +162,8 @@ void EventPartition::BuildSealArtifacts() {
   for (size_t i = 0; i < op_postings_.size(); ++i) {
     op_postings_[i].indexes.reserve(op_counts_[i]);
   }
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const Event& event = events_[i];
+  for (size_t i = 0; i < buffer_.size(); ++i) {
+    const Event& event = buffer_[i];
     columns_.PushBack(event);
     OpPostingList& list = op_postings_[static_cast<size_t>(event.op)];
     list.indexes.push_back(static_cast<uint32_t>(i));
@@ -164,11 +173,11 @@ void EventPartition::BuildSealArtifacts() {
 
   // Reverse entity indexes (per-subject / per-object event postings) for
   // provenance frontier expansion.
-  std::vector<uint64_t> keys(events_.size());
-  for (size_t i = 0; i < events_.size(); ++i) keys[i] = events_[i].subject;
+  std::vector<uint64_t> keys(buffer_.size());
+  for (size_t i = 0; i < buffer_.size(); ++i) keys[i] = buffer_[i].subject;
   BuildEntityIndex(keys, &subject_index_);
-  for (size_t i = 0; i < events_.size(); ++i) {
-    keys[i] = ObjectKey(events_[i].object_type, events_[i].object);
+  for (size_t i = 0; i < buffer_.size(); ++i) {
+    keys[i] = ObjectKey(buffer_[i].object_type, buffer_[i].object);
   }
   BuildEntityIndex(keys, &object_index_);
 }
@@ -207,10 +216,11 @@ uint64_t EventPartition::OpCountInRange(OpMask mask,
 }
 
 size_t EventPartition::MemoryFootprint() const {
-  size_t bytes = events_.size() * sizeof(Event);
+  size_t bytes = buffer_.size() * sizeof(Event);
   bytes += columns_.size() *
            (sizeof(Timestamp) * 2 + sizeof(EntityId) * 2 + sizeof(AgentId) +
-            sizeof(uint64_t) + sizeof(OpType) + sizeof(EntityType));
+            sizeof(uint64_t) + sizeof(uint32_t) + sizeof(OpType) +
+            sizeof(EntityType));
   for (const OpPostingList& list : op_postings_) {
     bytes += list.indexes.size() * sizeof(uint32_t);
   }
@@ -233,21 +243,12 @@ uint64_t EventPartition::SubjectExeCount(StringId exe) const {
 }
 
 size_t EventPartition::LowerBound(Timestamp t) const {
-  if (sealed()) {
-    // Binary search the dense timestamp column: ~6x fewer bytes per probe
-    // than striding over 48-byte Event rows.
-    auto it = std::lower_bound(columns_.start_ts.begin(),
-                               columns_.start_ts.end(), t);
-    return static_cast<size_t>(it - columns_.start_ts.begin());
-  }
-  auto it = std::lower_bound(
-      events_.begin(), events_.end(), t,
-      [](const Event& e, Timestamp ts) { return e.start_ts < ts; });
-  return static_cast<size_t>(it - events_.begin());
+  auto it = std::lower_bound(columns_.start_ts.begin(),
+                             columns_.start_ts.end(), t);
+  return static_cast<size_t>(it - columns_.start_ts.begin());
 }
 
 void EventPartition::RestoreSealed(SealedPartitionParts parts) {
-  events_ = std::move(parts.events);
   columns_ = std::move(parts.columns);
   op_postings_ = std::move(parts.postings);
   subject_index_ = std::move(parts.subject_index);
@@ -261,22 +262,6 @@ void EventPartition::RestoreSealed(SealedPartitionParts parts) {
   }
   merge_tail_.clear();
   seal_state_.store(kSealed, std::memory_order_release);
-}
-
-void EventPartition::RebuildStats(
-    const std::vector<ProcessEntity>& processes) {
-  op_counts_.fill(0);
-  subject_exe_counts_.clear();
-  min_ts_ = INT64_MAX;
-  max_ts_ = INT64_MIN;
-  raw_count_ = 0;
-  for (const Event& event : events_) {
-    raw_count_ += event.merge_count;
-    StringId exe = event.subject < processes.size()
-                       ? processes[event.subject].exe_name
-                       : kInvalidStringId;
-    AccountEvent(event, exe);
-  }
 }
 
 }  // namespace aiql

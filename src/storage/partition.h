@@ -5,17 +5,17 @@
 // (per-operation counts, per-subject-exe counts) that feed the engine's
 // pruning-power estimator. Partitions are the unit of parallel scanning.
 //
-// Sealing additionally materializes three read-path artifacts:
-//   * a structure-of-arrays column view (EventColumns) so time-range +
-//     op-mask scans touch only the columns they test,
+// An open partition buffers `Event` rows for ingest and merge-dedup. Sealing
+// sorts the buffer, turns it into the partition's only event storage, and
+// releases it:
+//   * a structure-of-arrays column set (EventColumns), one entry per event
+//     in sorted order; Row(i) gathers event i back out of it,
 //   * per-operation posting lists (sorted event indexes with a start-ts
 //     zone map) so op-selective scans iterate only matching events, and
 //   * a reverse entity index (CSR posting lists keyed by subject process id
 //     and by (object type, object id)) so provenance tracking can expand a
 //     frontier entity without scanning the partition.
-// The row `events()` API stays authoritative for snapshot/graph/SQL
-// callers; columns and postings are derived and rebuilt on every Seal(),
-// and adopted as persisted when a snapshot segment is decoded.
+// A decoded snapshot segment installs the same artifacts as persisted.
 
 #ifndef AIQL_STORAGE_PARTITION_H_
 #define AIQL_STORAGE_PARTITION_H_
@@ -55,8 +55,8 @@ struct PartitionKeyHash {
   }
 };
 
-/// Structure-of-arrays view over a sealed partition's events (one entry per
-/// row of `events()`, in the same sorted order).
+/// A sealed partition's events as structure-of-arrays columns, sorted by
+/// (start_ts, end_ts); every field of `Event` has a column.
 struct EventColumns {
   std::vector<Timestamp> start_ts;
   std::vector<Timestamp> end_ts;
@@ -64,11 +64,11 @@ struct EventColumns {
   std::vector<EntityId> object;
   std::vector<AgentId> agent_id;
   std::vector<uint64_t> amount;
+  std::vector<uint32_t> merge_count;
   std::vector<OpType> op;
   std::vector<EntityType> object_type;
 
   size_t size() const { return start_ts.size(); }
-  void Clear();
   void Reserve(size_t n);
   void PushBack(const Event& event);
 };
@@ -107,7 +107,6 @@ struct OpPostingList {
 /// Everything a sealed partition holds, in the form a snapshot v2 segment
 /// decodes to. Op counts are the posting-list sizes.
 struct SealedPartitionParts {
-  std::vector<Event> events;
   EventColumns columns;
   std::array<OpPostingList, kNumOpTypes> postings;  ///< zone maps filled
   EntityPostingIndex subject_index;
@@ -123,17 +122,18 @@ class EventPartition {
  public:
   EventPartition() { op_counts_.fill(0); }
 
-  /// Appends an event, attempting merge-deduplication: a raw event with the
-  /// same (subject, op, object_type, object) whose start falls within
-  /// `dedup_window` of the previous occurrence's end is merged into it
-  /// (interval extended, amounts summed, merge_count incremented).
-  /// Pass dedup_window = 0 to disable merging. Returns true if merged.
+  /// Appends an event to the open partition's buffer, attempting
+  /// merge-deduplication: an event with the same (subject, op, object_type,
+  /// object) whose start falls within `dedup_window` of the previous
+  /// occurrence's end is merged into it (interval extended, amounts and
+  /// merge counts summed). Pass dedup_window = 0 to disable merging. The
+  /// raw event count grows by `event.merge_count`. Returns true if merged.
   bool Append(const Event& event, Duration dedup_window);
 
-  /// Sorts events by (start_ts, end_ts), freezes the partition, and builds
-  /// the columnar view plus per-operation posting lists. Idempotent: a
-  /// partition already sealing (concurrently, on a background thread) or
-  /// sealed is left alone.
+  /// Sorts the buffer by (start_ts, end_ts), builds the columns, posting
+  /// lists and reverse indexes from it, releases it, and freezes the
+  /// partition. Idempotent: a partition already sealing (concurrently, on a
+  /// background thread) or sealed is left alone.
   void Seal();
 
   /// Atomically claims the open -> sealing transition. The caller that wins
@@ -142,22 +142,29 @@ class EventPartition {
   /// partition to a background sealing task exactly once.
   bool TryBeginSeal();
 
-  /// Sorts, builds the seal artifacts, and publishes the sealed flag
-  /// (release). Precondition: this thread won TryBeginSeal(). May run
-  /// without any database lock — the partition is unreachable for writes
-  /// once closed, and readers ignore it until sealed() observes true.
+  /// Sorts, builds the seal artifacts, releases the buffer, and publishes
+  /// the sealed flag (release). Precondition: this thread won
+  /// TryBeginSeal(). May run without any database lock — the partition is
+  /// unreachable for writes once closed, and readers ignore it until
+  /// sealed() observes true.
   void FinishSeal();
 
   /// True once FinishSeal() has published the artifacts (acquire: a true
-  /// result also makes the sorted events/columns/postings visible).
+  /// result also makes the columns/postings visible).
   bool sealed() const {
     return seal_state_.load(std::memory_order_acquire) == kSealed;
   }
-  const std::vector<Event>& events() const { return events_; }
-  size_t size() const { return events_.size(); }
+  /// Events stored: the columns once sealed, the buffer before.
+  size_t size() const {
+    return sealed() ? columns_.size() : buffer_.size();
+  }
 
-  /// Columnar view over the sorted events (valid once sealed).
+  /// The sorted event columns (valid once sealed).
   const EventColumns& columns() const { return columns_; }
+
+  /// Event `i` of the sorted partition, gathered from the columns (valid
+  /// once sealed).
+  Event Row(size_t i) const;
 
   /// Posting list of `op` (valid once sealed).
   const OpPostingList& posting(OpType op) const {
@@ -220,21 +227,16 @@ class EventPartition {
   /// Raw (pre-dedup) events represented, i.e. sum of merge counts.
   uint64_t raw_event_count() const { return raw_count_; }
 
-  /// Bytes of this partition's rows, columns, posting lists and reverse
-  /// indexes, counted per element (allocator slack left by ingest-time
-  /// growth is not counted), so a partition decoded from a snapshot segment
-  /// reports exactly what its hot copy did. This is what a PartitionCache
-  /// charges against its byte budget when the partition is materialized
-  /// from cold storage.
+  /// Bytes of this partition's ingest buffer, columns, posting lists and
+  /// reverse indexes, counted per element (allocator slack left by
+  /// ingest-time growth is not counted), so a partition decoded from a
+  /// snapshot segment reports exactly what its hot copy did. This is what a
+  /// PartitionCache charges against its byte budget when the partition is
+  /// materialized from cold storage.
   size_t MemoryFootprint() const;
 
-  /// Internal mutable access used by snapshot loading.
-  std::vector<Event>* mutable_events() { return &events_; }
-  /// Recomputes statistics from `events_` (after snapshot load).
-  void RebuildStats(const std::vector<ProcessEntity>& processes);
-
   /// Snapshot-v2 load hook: installs a fully sealed partition wholesale.
-  /// Rows, columns, posting lists with their zone maps, reverse entity
+  /// Columns, posting lists with their zone maps, reverse entity
   /// indexes, statistics and time bounds are all adopted exactly as the
   /// segment decoder produced them — no sort, no index rebuild, no pass over
   /// the events. Precondition: the partition is empty and `parts` satisfies
@@ -265,7 +267,8 @@ class EventPartition {
   void AccountEvent(const Event& event, StringId subject_exe);
   void BuildSealArtifacts();
 
-  std::vector<Event> events_;
+  // Ingest buffer of an open partition; empty once sealed.
+  std::vector<Event> buffer_;
   EventColumns columns_;
   std::array<OpPostingList, kNumOpTypes> op_postings_;
   EntityPostingIndex subject_index_;
@@ -276,13 +279,40 @@ class EventPartition {
   uint64_t raw_count_ = 0;
   std::array<uint64_t, kNumOpTypes> op_counts_;
   std::unordered_map<StringId, uint64_t> subject_exe_counts_;
-  // Last event index per merge key (cleared on Seal()).
+  // Last buffer index per merge key (cleared on Seal()).
   std::unordered_map<MergeKey, size_t, MergeKeyHash> merge_tail_;
   // Exe id of each event's subject, tracked during ingest for stats; the
-  // database passes it in via AppendWithExe.
+  // database and the tiered compactor pass it in via AppendWithExe.
   friend class AuditDatabase;
+  friend class TieredStore;
   bool AppendWithExe(const Event& event, StringId subject_exe,
                      Duration dedup_window);
+};
+
+/// One event of a sealed partition by reference: the partition and the
+/// event's row. Matches on the query and tracking paths are EventRefs; they
+/// stay valid for the life of the partition (a read view pins it).
+struct EventRef {
+  const EventPartition* partition = nullptr;
+  uint32_t row = 0;
+
+  bool operator==(const EventRef&) const = default;
+
+  Timestamp start_ts() const { return partition->columns().start_ts[row]; }
+  Timestamp end_ts() const { return partition->columns().end_ts[row]; }
+  EntityId subject() const { return partition->columns().subject[row]; }
+  EntityId object() const { return partition->columns().object[row]; }
+  /// The whole event, gathered from the columns.
+  Event Get() const { return partition->Row(row); }
+};
+
+struct EventRefHash {
+  size_t operator()(const EventRef& ref) const {
+    uint64_t h = reinterpret_cast<uintptr_t>(ref.partition) *
+                     0x9E3779B97F4A7C15ULL +
+                 ref.row;
+    return static_cast<size_t>(h ^ (h >> 31));
+  }
 };
 
 }  // namespace aiql

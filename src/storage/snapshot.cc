@@ -27,10 +27,9 @@ using namespace snapfmt;  // NOLINT(build/namespaces)
 
 namespace {
 
-// --- v1 format constants (legacy single-blob snapshots) ----------------------
-
+// Magic of the retired v1 single-blob format, recognized only to refuse it
+// with a clear message.
 constexpr uint64_t kV1Magic = 0x4149514C534E5031ULL;  // "AIQLSNP1"
-constexpr uint32_t kV1Version = 2;
 
 // --- file sink ---------------------------------------------------------------
 
@@ -81,212 +80,12 @@ class FileSnapshotSink : public SnapshotSink {
   std::string path_;
 };
 
-// =============================================================================
-// v2 encoding (moved to storage/snapshot_format.cc)
-// =============================================================================
-
-// =============================================================================
-// v1 format (legacy, single eager blob)
-// =============================================================================
-
-class V1Writer {
- public:
-  explicit V1Writer(FILE* file) : file_(file) {}
-
-  void PutBytes(const void* data, size_t n) {
-    if (!ok_) return;
-    hash_.Update(data, n);
-    if (std::fwrite(data, 1, n, file_) != n) ok_ = false;
-  }
-  void PutU8(uint8_t v) { PutBytes(&v, 1); }
-  void PutU16(uint16_t v) { PutBytes(&v, 2); }
-  void PutU32(uint32_t v) { PutBytes(&v, 4); }
-  void PutU64(uint64_t v) { PutBytes(&v, 8); }
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutString(std::string_view s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    PutBytes(s.data(), s.size());
-  }
-
-  bool ok() const { return ok_; }
-
-  /// Writes the accumulated checksum (not itself hashed).
-  bool WriteChecksum() {
-    uint64_t h = hash_.digest();
-    return ok_ && std::fwrite(&h, 1, 8, file_) == 8;
-  }
-
- private:
-  FILE* file_;
-  Fnv1a64 hash_;
-  bool ok_ = true;
-};
-
-class V1Reader {
- public:
-  explicit V1Reader(FILE* file) : file_(file) {}
-
-  bool GetBytes(void* data, size_t n) {
-    if (!ok_) return false;
-    if (std::fread(data, 1, n, file_) != n) {
-      ok_ = false;
-      return false;
-    }
-    hash_.Update(data, n);
-    return true;
-  }
-  uint8_t GetU8() {
-    uint8_t v = 0;
-    GetBytes(&v, 1);
-    return v;
-  }
-  uint16_t GetU16() {
-    uint16_t v = 0;
-    GetBytes(&v, 2);
-    return v;
-  }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    GetBytes(&v, 4);
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    GetBytes(&v, 8);
-    return v;
-  }
-  int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-  std::string GetString() {
-    uint32_t n = GetU32();
-    if (!ok_ || n > (1u << 28)) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(n, '\0');
-    GetBytes(s.data(), n);
-    return s;
-  }
-
-  bool ok() const { return ok_; }
-
-  /// Reads the trailing checksum (not hashed) and compares.
-  bool VerifyChecksum() {
-    uint64_t expected = hash_.digest();
-    uint64_t stored = 0;
-    if (!ok_ || std::fread(&stored, 1, 8, file_) != 8) return false;
-    return stored == expected;
-  }
-
- private:
-  FILE* file_;
-  Fnv1a64 hash_;
-  bool ok_ = true;
-};
-
 struct FileCloser {
   void operator()(FILE* f) const {
     if (f != nullptr) std::fclose(f);
   }
 };
 using FilePtr = std::unique_ptr<FILE, FileCloser>;
-
-void V1WriteEvent(V1Writer* w, const Event& e) {
-  w->PutI64(e.start_ts);
-  w->PutI64(e.end_ts);
-  w->PutU64(e.amount);
-  w->PutU32(e.subject);
-  w->PutU32(e.object);
-  w->PutU32(e.agent_id);
-  w->PutU32(e.merge_count);
-  w->PutU8(static_cast<uint8_t>(e.op));
-  w->PutU8(static_cast<uint8_t>(e.object_type));
-}
-
-Event V1ReadEvent(V1Reader* r) {
-  Event e;
-  e.start_ts = r->GetI64();
-  e.end_ts = r->GetI64();
-  e.amount = r->GetU64();
-  e.subject = r->GetU32();
-  e.object = r->GetU32();
-  e.agent_id = r->GetU32();
-  e.merge_count = r->GetU32();
-  e.op = static_cast<OpType>(r->GetU8());
-  e.object_type = static_cast<EntityType>(r->GetU8());
-  return e;
-}
-
-Result<AuditDatabase> LoadSnapshotV1(const std::string& path) {
-  FilePtr file(std::fopen(path.c_str(), "rb"));
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  V1Reader r(file.get());
-  if (r.GetU64() != kV1Magic) {
-    return Status::Corruption("'" + path + "' is not an AIQL snapshot");
-  }
-  uint32_t version = r.GetU32();
-  if (version != kV1Version) {
-    return Status::Corruption("snapshot version " + std::to_string(version) +
-                              " unsupported (expected " +
-                              std::to_string(kV1Version) + ")");
-  }
-  StorageOptions opt;
-  opt.partition_duration = r.GetI64();
-  opt.dedup_window = r.GetI64();
-  opt.enable_partitioning = r.GetU8() != 0;
-  opt.batch_commit_size = r.GetU64();
-  if (!r.ok()) return Status::Corruption("snapshot header truncated");
-
-  AuditDatabase db(opt);
-  EntityStore* es = db.mutable_entities();
-
-  uint64_t num_procs = r.GetU64();
-  for (uint64_t i = 0; i < num_procs && r.ok(); ++i) {
-    ProcessRef ref;
-    ref.agent_id = r.GetU32();
-    ref.pid = r.GetU32();
-    ref.exe_name = r.GetString();
-    ref.user = r.GetString();
-    es->InternProcess(ref);
-  }
-  uint64_t num_files = r.GetU64();
-  for (uint64_t i = 0; i < num_files && r.ok(); ++i) {
-    FileRef ref;
-    ref.agent_id = r.GetU32();
-    ref.path = r.GetString();
-    es->InternFile(ref);
-  }
-  uint64_t num_nets = r.GetU64();
-  for (uint64_t i = 0; i < num_nets && r.ok(); ++i) {
-    NetworkRef ref;
-    ref.agent_id = r.GetU32();
-    ref.src_ip = r.GetString();
-    ref.dst_ip = r.GetString();
-    ref.src_port = r.GetU16();
-    ref.dst_port = r.GetU16();
-    ref.protocol = r.GetString();
-    es->InternNetwork(ref);
-  }
-
-  uint64_t num_partitions = r.GetU64();
-  for (uint64_t i = 0; i < num_partitions && r.ok(); ++i) {
-    int64_t bucket = r.GetI64();
-    AgentId agent = r.GetU32();
-    uint64_t count = r.GetU64();
-    EventPartition* partition = db.GetOrCreatePartition(bucket, agent);
-    partition->mutable_events()->reserve(count);
-    for (uint64_t j = 0; j < count && r.ok(); ++j) {
-      partition->mutable_events()->push_back(V1ReadEvent(&r));
-    }
-  }
-  if (!r.ok()) return Status::Corruption("snapshot body truncated");
-  if (!r.VerifyChecksum()) {
-    return Status::Corruption("snapshot checksum mismatch in '" + path + "'");
-  }
-  db.RestoreSealedState();
-  return db;
-}
 
 }  // namespace
 
@@ -373,69 +172,6 @@ Status SaveSnapshot(const AuditDatabase& db, const std::string& path) {
   return Status::OK();
 }
 
-Status SaveSnapshotV1(const AuditDatabase& db, const std::string& path) {
-  if (!db.sealed()) {
-    return Status::InvalidArgument("cannot snapshot an unsealed database");
-  }
-  FilePtr file(std::fopen(path.c_str(), "wb"));
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  V1Writer w(file.get());
-  w.PutU64(kV1Magic);
-  w.PutU32(kV1Version);
-
-  const StorageOptions& opt = db.options();
-  w.PutI64(opt.partition_duration);
-  w.PutI64(opt.dedup_window);
-  w.PutU8(opt.enable_partitioning ? 1 : 0);
-  w.PutU64(opt.batch_commit_size);
-
-  const EntityStore& es = db.entities();
-  w.PutU64(es.processes().size());
-  for (const ProcessEntity& p : es.processes()) {
-    w.PutU32(p.agent_id);
-    w.PutU32(p.pid);
-    w.PutString(es.exe_names().Get(p.exe_name));
-    w.PutString(es.users().Get(p.user));
-  }
-  w.PutU64(es.files().size());
-  for (const FileEntity& f : es.files()) {
-    w.PutU32(f.agent_id);
-    w.PutString(es.paths().Get(f.path));
-  }
-  w.PutU64(es.networks().size());
-  for (const NetworkEntity& n : es.networks()) {
-    w.PutU32(n.agent_id);
-    w.PutString(es.ips().Get(n.src_ip));
-    w.PutString(es.ips().Get(n.dst_ip));
-    w.PutU16(n.src_port);
-    w.PutU16(n.dst_port);
-    w.PutString(es.protocols().Get(n.protocol));
-  }
-
-  w.PutU64(db.partitions().size());
-  for (const auto& [key, partition] : db.partitions()) {
-    // Rollover partitions of the same (bucket, agent) are written as
-    // separate runs and re-merged on load, so the format needs no seq.
-    w.PutI64(std::get<0>(key));
-    w.PutU32(std::get<1>(key));
-    w.PutU64(partition->events().size());
-    for (const Event& e : partition->events()) {
-      V1WriteEvent(&w, e);
-    }
-  }
-  if (!w.WriteChecksum()) {
-    return Status::IOError("write failure while saving snapshot to '" + path +
-                           "'");
-  }
-  // Same durability contract as the v2 path: flush/fsync/close failures are
-  // errors, not success.
-  FileSnapshotSink sink(file.release(), path);
-  AIQL_RETURN_IF_ERROR(sink.Sync());
-  return sink.Close();
-}
-
 // =============================================================================
 // SnapshotStore
 // =============================================================================
@@ -474,8 +210,7 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
   uint64_t magic = GetFixed64(header);
   if (magic == kV1Magic) {
     return Status::InvalidArgument(
-        "'" + path +
-        "' is a v1 snapshot; open it with LoadSnapshot (full load)");
+        "'" + path + "' is a v1 snapshot; snapshot format v1 is unsupported");
   }
   if (magic != kV2Magic) {
     return Status::Corruption("'" + path + "' is not an AIQL snapshot");
@@ -685,18 +420,13 @@ Result<AuditDatabase> SnapshotStore::ToDatabase() && {
 }
 
 // =============================================================================
-// load dispatch
+// full load
 // =============================================================================
 
 Result<AuditDatabase> LoadSnapshot(const std::string& path) {
-  Result<std::unique_ptr<SnapshotStore>> store = SnapshotStore::Open(path);
-  if (store.ok()) return std::move(**store).ToDatabase();
-  // The lazy store reports v1 files as InvalidArgument; everything else
-  // (missing file, corruption, version mismatch) propagates as-is.
-  if (store.status().code() == StatusCode::kInvalidArgument) {
-    return LoadSnapshotV1(path);
-  }
-  return store.status();
+  AIQL_ASSIGN_OR_RETURN(std::unique_ptr<SnapshotStore> store,
+                        SnapshotStore::Open(path));
+  return std::move(*store).ToDatabase();
 }
 
 }  // namespace aiql

@@ -23,9 +23,8 @@
 // independently checksummed; truncation and bit flips surface as clean
 // Status errors.
 //
-// The v1 single-blob format (magic "AIQLSNP1") remains loadable through
-// LoadSnapshot, and SaveSnapshotV1 keeps writing it for compatibility tests
-// and size comparisons.
+// The retired v1 single-blob format (magic "AIQLSNP1") is refused by both
+// LoadSnapshot and SnapshotStore::Open with an error naming it unsupported.
 
 #ifndef AIQL_STORAGE_SNAPSHOT_H_
 #define AIQL_STORAGE_SNAPSHOT_H_
@@ -75,13 +74,8 @@ Status SaveSnapshotToSink(const AuditDatabase& db, SnapshotSink* sink);
 /// sync, so a failed save never leaves a truncated snapshot at `path`.
 Status SaveSnapshot(const AuditDatabase& db, const std::string& path);
 
-/// Legacy v1 single-blob writer, retained so compatibility tests can
-/// generate v1 fixtures and benchmarks can compare on-disk sizes. New
-/// snapshots should use SaveSnapshot (v2).
-Status SaveSnapshotV1(const AuditDatabase& db, const std::string& path);
-
-/// Fully loads a snapshot (v1 or v2) into a sealed database. Detects
-/// truncation, bad magic, version mismatch, and checksum corruption. For
+/// Fully loads a v2 snapshot into a sealed database. Detects truncation,
+/// bad magic, version mismatch (v1 included), and checksum corruption. For
 /// lazy, partition-granular access to a v2 snapshot use SnapshotStore::Open
 /// instead.
 Result<AuditDatabase> LoadSnapshot(const std::string& path);
@@ -98,8 +92,8 @@ Result<AuditDatabase> LoadSnapshot(const std::string& path);
 /// already-materialized fast path is lock-free.
 class SnapshotStore {
  public:
-  /// Opens a v2 snapshot. Returns InvalidArgument for v1 snapshots (use
-  /// LoadSnapshot), Corruption/IOError for damaged files.
+  /// Opens a v2 snapshot. Returns InvalidArgument for v1 snapshots (no
+  /// longer supported), Corruption/IOError for damaged files.
   static Result<std::unique_ptr<SnapshotStore>> Open(const std::string& path);
 
   ~SnapshotStore();

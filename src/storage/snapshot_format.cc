@@ -196,7 +196,8 @@ PartitionDirEntry MakeDirEntry(int64_t bucket, AgentId agent, uint32_t seq,
   entry.exe_counts.assign(partition.subject_exe_counts().begin(),
                           partition.subject_exe_counts().end());
   std::sort(entry.exe_counts.begin(), entry.exe_counts.end());
-  entry.key_summary = BuildKeySummary(partition);
+  entry.key_summary =
+      BuildKeySummary(partition.subject_index(), partition.object_index());
   return entry;
 }
 
@@ -242,45 +243,44 @@ void EncodeMetaSegment(const EntityStore& es, std::string* out) {
 
 void EncodePartitionSegment(const EventPartition& partition,
                             std::string* out) {
-  const std::vector<Event>& events = partition.events();
-  const size_t n = events.size();
+  const EventColumns& cols = partition.columns();
+  const size_t n = cols.size();
   PutVarint64(out, n);
 
   // start_ts: first value zigzag, then non-negative deltas.
-  int64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
     if (i == 0) {
-      PutVarintSigned(out, events[i].start_ts);
+      PutVarintSigned(out, cols.start_ts[0]);
     } else {
-      PutVarint64(out,
-                  static_cast<uint64_t>(events[i].start_ts) -
-                      static_cast<uint64_t>(prev));
+      PutVarint64(out, static_cast<uint64_t>(cols.start_ts[i]) -
+                           static_cast<uint64_t>(cols.start_ts[i - 1]));
     }
-    prev = events[i].start_ts;
   }
   // Durations (end - start >= 0 by ingest validation).
-  for (const Event& e : events) {
-    PutVarint64(out, static_cast<uint64_t>(e.end_ts) -
-                         static_cast<uint64_t>(e.start_ts));
+  for (size_t i = 0; i < n; ++i) {
+    PutVarint64(out, static_cast<uint64_t>(cols.end_ts[i]) -
+                         static_cast<uint64_t>(cols.start_ts[i]));
   }
-  for (const Event& e : events) PutVarint64(out, e.subject);
-  for (const Event& e : events) PutVarint64(out, e.object);
+  for (EntityId id : cols.subject) PutVarint64(out, id);
+  for (EntityId id : cols.object) PutVarint64(out, id);
   // agent_id: RLE — constant within a partition under time x agent
   // partitioning, so this column is typically two varints.
   for (size_t i = 0; i < n;) {
     size_t run = i + 1;
-    while (run < n && events[run].agent_id == events[i].agent_id) ++run;
-    PutVarint64(out, events[i].agent_id);
+    while (run < n && cols.agent_id[run] == cols.agent_id[i]) ++run;
+    PutVarint64(out, cols.agent_id[i]);
     PutVarint64(out, run - i);
     i = run;
   }
-  for (const Event& e : events) PutVarint64(out, e.amount);
-  for (const Event& e : events) PutVarint64(out, e.merge_count);
+  for (uint64_t amount : cols.amount) PutVarint64(out, amount);
+  for (uint32_t merge_count : cols.merge_count) {
+    PutVarint64(out, merge_count);
+  }
   // object_type: RLE.
   for (size_t i = 0; i < n;) {
     size_t run = i + 1;
-    while (run < n && events[run].object_type == events[i].object_type) ++run;
-    out->push_back(static_cast<char>(events[i].object_type));
+    while (run < n && cols.object_type[run] == cols.object_type[i]) ++run;
+    out->push_back(static_cast<char>(cols.object_type[i]));
     PutVarint64(out, run - i);
     i = run;
   }
@@ -680,8 +680,8 @@ Status DecodePartitionSegment(std::string_view bytes,
                               const EntityStore& store,
                               EventPartition* partition) {
   // One pass over the segment in its stored order, straight into the
-  // columns. Wrapped or out-of-domain values are caught by the row pass at
-  // the end, which checks every event once.
+  // columns. Wrapped or out-of-domain values are caught by the check pass
+  // at the end, which checks every event once.
   Cursor cur(bytes);
   uint64_t n64 = cur.U64();
   if (!cur.ok() || n64 != entry.events || n64 > bytes.size()) {
@@ -732,13 +732,13 @@ Status DecodePartitionSegment(std::string_view bytes,
   if (!agents_ok) return Status::Corruption("partition agent column corrupt");
   cols.amount.resize(n);
   for (size_t i = 0; i < n; ++i) cols.amount[i] = cur.U64();
-  std::vector<uint32_t> merge_counts(n);
+  cols.merge_count.resize(n);
   for (size_t i = 0; i < n; ++i) {
     uint64_t merge_count = cur.U64();
     if (merge_count == 0 || merge_count > UINT32_MAX) {
       return Status::Corruption("partition merge counts corrupt");
     }
-    merge_counts[i] = static_cast<uint32_t>(merge_count);
+    cols.merge_count[i] = static_cast<uint32_t>(merge_count);
   }
   bool types_ok = DecodeRuns(&cur, n,
                              [&](EntityType* type) {
@@ -823,15 +823,14 @@ Status DecodePartitionSegment(std::string_view bytes,
     return Status::Corruption("partition segment has trailing bytes");
   }
 
-  // Row pass: builds the Event rows and checks each event once — interval,
-  // (start, end) order, entity-id bounds — while accumulating the bounds
-  // and raw count the footer directory must agree with.
+  // Check pass: checks each event once — interval, (start, end) order,
+  // entity-id bounds — while accumulating the bounds and raw count the
+  // footer directory must agree with.
   const size_t num_processes = store.processes().size();
   std::array<size_t, kNumEntityTypes> num_objects;
   for (int t = 0; t < kNumEntityTypes; ++t) {
     num_objects[t] = store.NumEntities(static_cast<EntityType>(t));
   }
-  parts.events.resize(n);
   Timestamp max_ts = INT64_MIN;
   uint64_t raw = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -851,16 +850,7 @@ Status DecodePartitionSegment(std::string_view bytes,
       return Status::Corruption("partition references unknown entities");
     }
     max_ts = std::max(max_ts, end);
-    raw += merge_counts[i];
-    parts.events[i] = Event{.start_ts = start,
-                            .end_ts = end,
-                            .amount = cols.amount[i],
-                            .subject = cols.subject[i],
-                            .object = cols.object[i],
-                            .agent_id = cols.agent_id[i],
-                            .merge_count = merge_counts[i],
-                            .op = cols.op[i],
-                            .object_type = object_type};
+    raw += cols.merge_count[i];
   }
   if (n > 0) {
     parts.min_ts = cols.start_ts[0];
@@ -874,6 +864,12 @@ Status DecodePartitionSegment(std::string_view bytes,
                               "footer");
   }
   parts.raw_count = raw;
+  // The directory's entity summary must be the one these indexes build.
+  if (BuildKeySummary(parts.subject_index, parts.object_index) !=
+      entry.key_summary) {
+    return Status::Corruption("partition entity summary disagrees with "
+                              "footer");
+  }
 
   partition->RestoreSealed(std::move(parts));
   return Status::OK();

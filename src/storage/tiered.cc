@@ -200,25 +200,26 @@ Status TieredStore::MergeSmallPartitions() {
     if (j - i >= retention_.compact_min_partitions) {
       // Build the merged partition outside any lock: the sources are sealed
       // and only this (single) maintenance thread ever removes them. Events
-      // are concatenated, NOT re-deduplicated — dedup already ran at ingest
-      // within each source, so re-merging across rollover boundaries would
-      // change the stored rows and break result identity.
+      // are appended with dedup off, NOT re-deduplicated — dedup already
+      // ran at ingest within each source, so re-merging across rollover
+      // boundaries would change the stored rows and break result identity.
       auto merged = std::make_unique<EventPartition>();
       std::vector<PartitionMapKey> keys;
       keys.reserve(j - i);
       {
-        // Entity/partition stability while we read rows + rebuild stats.
+        // Entity/partition stability while we read the sources' events.
         ReadView view = db_->OpenReadView();
-        size_t total = 0;
-        for (size_t k = i; k < j; ++k) total += sealed[k].second->size();
-        merged->mutable_events()->reserve(total);
+        const std::vector<ProcessEntity>& processes =
+            db_->entities().processes();
         for (size_t k = i; k < j; ++k) {
           keys.push_back(sealed[k].first);
-          const std::vector<Event>& events = sealed[k].second->events();
-          merged->mutable_events()->insert(merged->mutable_events()->end(),
-                                           events.begin(), events.end());
+          const EventPartition& source = *sealed[k].second;
+          for (size_t row = 0; row < source.size(); ++row) {
+            const Event event = source.Row(row);
+            merged->AppendWithExe(event, processes[event.subject].exe_name,
+                                  /*dedup_window=*/0);
+          }
         }
-        merged->RebuildStats(db_->entities().processes());
       }
       merged->Seal();
       // Commit point of a merge. An injected error here proves that an
@@ -276,10 +277,11 @@ Status TieredStore::DemoteColdPartitions() {
       next.push_back(std::move(cold));
       // Aging: a demoted partition's entities were last referenced no later
       // than its bucket.
-      for (const Event& event : partitions[i]->events()) {
-        db_->entities().TouchEntity(EntityType::kProcess, event.subject,
+      const EventColumns& cols = partitions[i]->columns();
+      for (size_t row = 0; row < cols.size(); ++row) {
+        db_->entities().TouchEntity(EntityType::kProcess, cols.subject[row],
                                     std::get<0>(keys[i]));
-        db_->entities().TouchEntity(event.object_type, event.object,
+        db_->entities().TouchEntity(cols.object_type[row], cols.object[row],
                                     std::get<0>(keys[i]));
       }
     }

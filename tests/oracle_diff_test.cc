@@ -1137,19 +1137,17 @@ std::string CompareResult(ResultTable engine, ResultTable oracle,
 
 std::vector<std::pair<std::string, EngineOptions>> AllOptionCombos() {
   std::vector<std::pair<std::string, EngineOptions>> out;
-  for (int mask = 0; mask < 32; ++mask) {
+  for (int mask = 0; mask < 16; ++mask) {
     EngineOptions options;
     options.enable_reordering = (mask & 1) != 0;
     options.enable_parallelism = (mask & 2) != 0;
     options.num_threads = 2;
     options.enable_semi_join = (mask & 4) != 0;
     options.enable_temporal_pruning = (mask & 8) != 0;
-    options.enable_batch_kernels = (mask & 16) != 0;
     std::string name = std::string("reorder=") + ((mask & 1) ? "1" : "0") +
                        " parallel=" + ((mask & 2) ? "1" : "0") +
                        " semijoin=" + ((mask & 4) ? "1" : "0") +
-                       " temporal=" + ((mask & 8) ? "1" : "0") +
-                       " kernels=" + ((mask & 16) ? "1" : "0");
+                       " temporal=" + ((mask & 8) ? "1" : "0");
     out.emplace_back(std::move(name), options);
   }
   return out;
@@ -1278,7 +1276,7 @@ TEST(OracleDiffTest, EngineMatchesBruteForceOracle) {
     }
 
     // Sharded axis: every shard configuration, with the options combination
-    // rotating per case so all 32 combos meet the scatter/gather paths. The
+    // rotating per case so all 16 combos meet the scatter/gather paths. The
     // oracle table doubles as the single-db reference the satellite demands
     // (the loop above just proved every single-db engine agrees with it).
     const auto& [shard_combo_name, shard_options] =

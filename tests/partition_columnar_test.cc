@@ -1,6 +1,8 @@
-// Tests for the sealed-partition read-path artifacts: the columnar view,
-// per-operation posting lists with zone maps, time-clipped op counts,
-// LowerBound edge cases, and the zero-copy pattern scan.
+// Tests for the sealed-partition read-path artifacts: the event columns
+// (Row(i) reproduces every ingested event after seal, snapshot reopen and
+// compaction merge), per-operation posting lists with zone maps,
+// time-clipped op counts, LowerBound edge cases, and the zero-copy pattern
+// scan.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +13,13 @@
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/rng.h"
 #include "engine/scan.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
+#include "storage/tiered.h"
 
 namespace aiql {
 namespace {
@@ -56,24 +61,133 @@ AuditDatabase MixedDatabase() {
   return db;
 }
 
-TEST(ColumnarSealTest, ColumnsMirrorRowsAfterSeal) {
-  AuditDatabase db = MixedDatabase();
-  for (const auto& [key, partition] : db.partitions()) {
-    ASSERT_TRUE(partition->sealed());
-    const EventColumns& cols = partition->columns();
-    ASSERT_EQ(cols.size(), partition->size());
-    for (size_t i = 0; i < partition->size(); ++i) {
-      const Event& row = partition->events()[i];
-      EXPECT_EQ(cols.start_ts[i], row.start_ts);
-      EXPECT_EQ(cols.end_ts[i], row.end_ts);
-      EXPECT_EQ(cols.subject[i], row.subject);
-      EXPECT_EQ(cols.object[i], row.object);
-      EXPECT_EQ(cols.agent_id[i], row.agent_id);
-      EXPECT_EQ(cols.amount[i], row.amount);
-      EXPECT_EQ(cols.op[i], row.op);
-      EXPECT_EQ(cols.object_type[i], row.object_type);
+// --- Row(i) reproduces the ingested events ----------------------------------
+
+/// One stored event as the test models it, with entities by their
+/// store-independent identity (process pid, file path).
+using EventKey = std::tuple<Timestamp, Timestamp, uint64_t, uint32_t, int,
+                            int, AgentId, uint32_t, std::string>;
+
+/// Groups of back-to-back writes that dedup merges into one event each
+/// (merge_count = group size). Hour 0 is written, hour 1 rotates the agent's
+/// stream (sealing hour 0), then late hour-0 groups land in a second hour-0
+/// partition, and hour 2 rotates again — so hour 0 has two sibling
+/// partitions for merge compaction to fold. `model` receives the expected
+/// stored events.
+std::vector<EventRecord> DedupRecords(std::vector<EventKey>* model) {
+  std::vector<EventRecord> records;
+  int group = 0;
+  auto add_groups = [&](int hour, int count) {
+    for (int g = 0; g < count; ++g, ++group) {
+      const uint32_t size = 1 + static_cast<uint32_t>(group % 4);
+      const std::string path = "/dedup/f" + std::to_string(group);
+      const Timestamp start = T0() + hour * kHour + group * kMinute;
+      uint64_t amount = 0;
+      for (uint32_t k = 0; k < size; ++k) {
+        EventRecord record = Rec(1, OpType::kWrite, start + k * kSecond,
+                                 10 + group + k, "writer", FileRef{1, path});
+        amount += record.amount;
+        records.push_back(std::move(record));
+      }
+      model->emplace_back(start, start + size * kSecond, amount, size,
+                          static_cast<int>(OpType::kWrite),
+                          static_cast<int>(EntityType::kFile), 1, 100, path);
     }
+  };
+  add_groups(0, 6);
+  add_groups(1, 3);
+  add_groups(0, 5);  // late: a second hour-0 partition
+  add_groups(2, 2);
+  std::sort(model->begin(), model->end());
+  return records;
+}
+
+StorageOptions DedupOptions() {
+  StorageOptions options;
+  options.partition_duration = kHour;
+  options.dedup_window = 3 * kSecond;
+  return options;
+}
+
+/// Every event of `partitions`, gathered through Row(i), in model form and
+/// sorted; each partition's rows must ascend and its raw count must be the
+/// sum of its merge counts.
+std::vector<EventKey> StoredEvents(
+    const std::map<PartitionMapKey, std::unique_ptr<EventPartition>>&
+        partitions,
+    const EntityStore& entities) {
+  std::vector<EventKey> out;
+  for (const auto& [key, partition] : partitions) {
+    EXPECT_TRUE(partition->sealed());
+    uint64_t raw = 0;
+    for (size_t i = 0; i < partition->size(); ++i) {
+      const Event e = partition->Row(i);
+      if (i > 0) {
+        EXPECT_LE(partition->Row(i - 1).start_ts, e.start_ts);
+      }
+      raw += e.merge_count;
+      EXPECT_EQ(e.object_type, EntityType::kFile);
+      out.emplace_back(e.start_ts, e.end_ts, e.amount, e.merge_count,
+                       static_cast<int>(e.op),
+                       static_cast<int>(e.object_type), e.agent_id,
+                       entities.processes()[e.subject].pid,
+                       std::string(entities.paths().Get(
+                           entities.files()[e.object].path)));
+    }
+    EXPECT_EQ(raw, partition->raw_event_count());
   }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ColumnarRowTest, RowsReproduceIngestedEventsAfterSeal) {
+  std::vector<EventKey> model;
+  AuditDatabase db(DedupOptions());
+  ASSERT_TRUE(db.AppendBatch(DedupRecords(&model)).ok());
+  ASSERT_TRUE(db.Seal().ok());
+  EXPECT_EQ(db.stats().total_partitions, 4u);  // hour 0 twice, 1, 2
+  EXPECT_EQ(StoredEvents(db.partitions(), db.entities()), model);
+}
+
+TEST(ColumnarRowTest, RowsReproduceIngestedEventsAfterSnapshotReopen) {
+  std::vector<EventKey> model;
+  AuditDatabase db(DedupOptions());
+  ASSERT_TRUE(db.AppendBatch(DedupRecords(&model)).ok());
+  ASSERT_TRUE(db.Seal().ok());
+  std::string path = "/tmp/aiql_columnar_rows_test." +
+                     std::to_string(getpid()) + ".snap";
+  ASSERT_TRUE(SaveSnapshot(db, path).ok());
+  auto loaded = LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(StoredEvents(loaded->partitions(), loaded->entities()), model);
+}
+
+TEST(ColumnarRowTest, RowsReproduceIngestedEventsAfterCompactionMerge) {
+  std::vector<EventKey> model;
+  std::vector<EventRecord> records = DedupRecords(&model);
+  const std::string dir = "/tmp/aiql_columnar_rows_tiered." +
+                          std::to_string(getpid());
+  RetentionOptions retention;
+  retention.dir = dir;
+  retention.hot_buckets = 1000;  // no demotion: isolate merging
+  retention.compact_min_partitions = 2;
+  {
+    auto store = TieredStore::Create(DedupOptions(), retention);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->AppendBatch(std::move(records)).ok());
+    ASSERT_TRUE((*store)->Seal().ok());
+    ASSERT_TRUE((*store)->CompactOnce().ok());
+    EXPECT_EQ((*store)->stats().merges, 1u);  // the two hour-0 siblings
+    EXPECT_EQ((*store)->stats().hot_partitions, 3u);
+    const AuditDatabase& db = (*store)->db();
+    EXPECT_EQ(StoredEvents(db.partitions(), db.entities()), model);
+  }
+  std::remove((dir + "/DATA").c_str());
+  for (int seq = 0; seq < 8; ++seq) {
+    std::remove((dir + "/FOOTER." + std::to_string(seq)).c_str());
+  }
+  rmdir(dir.c_str());
 }
 
 TEST(ColumnarSealTest, PostingListsMatchBruteForceScan) {
@@ -85,7 +199,7 @@ TEST(ColumnarSealTest, PostingListsMatchBruteForceScan) {
       std::vector<uint32_t> expected;
       Timestamp min_start = INT64_MAX, max_start = INT64_MIN;
       for (size_t i = 0; i < partition->size(); ++i) {
-        const Event& event = partition->events()[i];
+        const Event event = partition->Row(i);
         if (event.op != static_cast<OpType>(op)) continue;
         expected.push_back(static_cast<uint32_t>(i));
         min_start = std::min(min_start, event.start_ts);
@@ -117,7 +231,8 @@ TEST(ColumnarSealTest, OpCountInRangeMatchesBruteForce) {
     for (const TimeRange& range : ranges) {
       for (OpMask mask : masks) {
         uint64_t expected = 0;
-        for (const Event& event : partition->events()) {
+        for (size_t i = 0; i < partition->size(); ++i) {
+          const Event event = partition->Row(i);
           if (OpMaskContains(mask, event.op) && range.Contains(event.start_ts))
             ++expected;
         }
@@ -164,7 +279,7 @@ TEST(ColumnarSealTest, SealArtifactsSurviveSnapshotRoundTrip) {
     ++orig_it;
     ASSERT_EQ(partition->size(), hot.size());
     for (size_t i = 0; i < hot.size(); ++i) {
-      EXPECT_EQ(event_key(partition->events()[i]), event_key(hot.events()[i]));
+      EXPECT_EQ(event_key(partition->Row(i)), event_key(hot.Row(i)));
     }
 
     const EventColumns& cols = partition->columns();
@@ -175,6 +290,7 @@ TEST(ColumnarSealTest, SealArtifactsSurviveSnapshotRoundTrip) {
     EXPECT_EQ(cols.object, hot_cols.object);
     EXPECT_EQ(cols.agent_id, hot_cols.agent_id);
     EXPECT_EQ(cols.amount, hot_cols.amount);
+    EXPECT_EQ(cols.merge_count, hot_cols.merge_count);
     EXPECT_EQ(cols.op, hot_cols.op);
     EXPECT_EQ(cols.object_type, hot_cols.object_type);
 
@@ -237,23 +353,23 @@ CompiledPattern PatternFor(OpMask mask, EntityType object_type) {
   return pattern;
 }
 
-TEST(ZeroCopyScanTest, MatchesAliasPartitionStorage) {
+TEST(ZeroCopyScanTest, MatchesReferencePartitionRows) {
   AuditDatabase db = MixedDatabase();
   CompiledPattern pattern =
       PatternFor(OpBit(OpType::kRead) | OpBit(OpType::kConnect),
                  EntityType::kFile);
   TimeRange range{T0(), T0() + 3 * kHour};
   for (const auto& [key, partition] : db.partitions()) {
-    std::vector<const Event*> out;
+    std::vector<EventRef> out;
     ScanPartition(*partition, pattern, range, nullptr, false, &out);
-    const Event* base = partition->events().data();
-    const Event* limit = base + partition->events().size();
-    for (const Event* match : out) {
-      // Pointer identity: every match points into partition.events().
-      ASSERT_GE(match, base);
-      ASSERT_LT(match, limit);
-      size_t index = static_cast<size_t>(match - base);
-      EXPECT_EQ(match, &partition->events()[index]);
+    for (size_t i = 0; i < out.size(); ++i) {
+      // Every match names this partition and one of its rows, ascending.
+      EXPECT_EQ(out[i].partition, partition.get());
+      ASSERT_LT(out[i].row, partition->size());
+      if (i > 0) {
+        EXPECT_LT(out[i - 1].row, out[i].row);
+      }
+      EXPECT_EQ(out[i].start_ts(), partition->Row(out[i].row).start_ts);
     }
   }
 }
@@ -266,42 +382,20 @@ TEST(ZeroCopyScanTest, AgreesWithBruteForceRowScan) {
   for (OpMask mask : masks) {
     CompiledPattern pattern = PatternFor(mask, EntityType::kFile);
     for (const auto& [key, partition] : db.partitions()) {
-      std::vector<const Event*> out;
+      std::vector<EventRef> out;
       ScanPartition(*partition, pattern, range, nullptr, false, &out);
-      std::vector<const Event*> expected;
-      for (const Event& event : partition->events()) {
+      std::vector<EventRef> expected;
+      for (uint32_t i = 0; i < partition->size(); ++i) {
+        const Event event = partition->Row(i);
         if (range.Contains(event.start_ts) &&
             OpMaskContains(mask, event.op) &&
             event.object_type == EntityType::kFile) {
-          expected.push_back(&event);
+          expected.push_back(EventRef{partition.get(), i});
         }
       }
-      // Same matches, same (ascending index) order, same addresses.
+      // Same matches, same (ascending row) order.
       EXPECT_EQ(out, expected);
     }
-  }
-}
-
-TEST(ZeroCopyScanTest, UnsealedPartitionFallsBackToRowScan) {
-  EventPartition partition;
-  Event event;
-  event.op = OpType::kWrite;
-  event.object_type = EntityType::kFile;
-  for (Timestamp t : {30, 10, 20}) {  // deliberately unsorted, not sealed
-    event.start_ts = t * kSecond;
-    event.end_ts = t * kSecond + 1;
-    partition.Append(event, 0);
-  }
-  ASSERT_FALSE(partition.sealed());
-  CompiledPattern pattern = PatternFor(OpBit(OpType::kWrite),
-                                       EntityType::kFile);
-  std::vector<const Event*> out;
-  ScanPartition(partition, pattern, TimeRange{0, 25 * kSecond}, nullptr,
-                false, &out);
-  ASSERT_EQ(out.size(), 2u);  // 10s and 20s events, not silently zero
-  for (const Event* match : out) {
-    EXPECT_GE(match, partition.events().data());
-    EXPECT_LT(match, partition.events().data() + partition.size());
   }
 }
 
@@ -311,11 +405,11 @@ TEST(ZeroCopyScanTest, AgentFilterRestrictsMatches) {
       PatternFor(static_cast<OpMask>(0x1FF), EntityType::kFile);
   AgentFilterSet only_agent2{std::vector<AgentId>{2}};
   for (const auto& [key, partition] : db.partitions()) {
-    std::vector<const Event*> out;
+    std::vector<EventRef> out;
     ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
                   &only_agent2, false, &out);
-    for (const Event* match : out) {
-      EXPECT_EQ(match->agent_id, 2u);
+    for (EventRef match : out) {
+      EXPECT_EQ(match.Get().agent_id, 2u);
     }
   }
 }

@@ -72,7 +72,8 @@ std::vector<RefEvent> AllEvents(const std::vector<ReadView>& views) {
     if (!partitions.ok()) continue;
     for (const auto& [key, partition] : *partitions) {
       (void)key;
-      for (const Event& event : partition->events()) {
+      for (size_t row = 0; row < partition->size(); ++row) {
+        const Event event = partition->Row(row);
         RefEvent ref;
         ref.op = event.op;
         ref.start = event.start_ts;

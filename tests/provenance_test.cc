@@ -487,13 +487,13 @@ TEST(ReverseIndexTest, PostingsAgreeWithBruteForce) {
   size_t partitions_checked = 0;
   for (const auto& [key, partition] : db->partitions()) {
     (void)key;
-    const std::vector<Event>& events = partition->events();
+    const EventColumns& cols = partition->columns();
     // Brute-force per-entity lists.
     std::map<uint64_t, std::vector<uint32_t>> by_subject, by_object;
-    for (uint32_t i = 0; i < events.size(); ++i) {
-      by_subject[events[i].subject].push_back(i);
-      by_object[EventPartition::ObjectKey(events[i].object_type,
-                                          events[i].object)]
+    for (uint32_t i = 0; i < cols.size(); ++i) {
+      by_subject[cols.subject[i]].push_back(i);
+      by_object[EventPartition::ObjectKey(cols.object_type[i],
+                                          cols.object[i])]
           .push_back(i);
     }
     for (const auto& [subject, expected] : by_subject) {

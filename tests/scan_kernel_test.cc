@@ -1,9 +1,10 @@
-// Differential tests for the batch-at-a-time scan kernels (PR 8).
+// Differential tests for the partition scan (posting walk and batch-at-a-
+// time columnar kernels).
 //
-// The contract under test: ScanPartition with enable_batch_kernels on and
-// off produces pointer-identical match vectors, identical inspected counts,
-// and identical governance charges — across op masks, time ranges,
-// candidate sets (including empty ones and out-of-universe object ids),
+// The contract under test: ScanPartition returns exactly the matches,
+// inspected counts and governance charges of a test-local brute-force
+// reference that reads each event through Row(i) — across op masks, time
+// ranges, candidate sets (including empty ones and out-of-universe ids),
 // agent filters (including hostile huge ids), same-var patterns, and row
 // budgets that stop the scan mid-partition. Plus unit coverage for the
 // bitset layer and the versioned dictionary-match cache the id-set
@@ -193,7 +194,7 @@ TEST(DictionaryMatchCacheTest, ConcurrentMatchersSeeConsistentBitsets) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// --- kernel-on vs kernel-off differential -----------------------------------
+// --- ScanPartition vs a brute-force reference --------------------------------
 
 /// A database with all three object kinds, several agents, duplicate
 /// subject/object ids, and enough rows that partitions span multiple
@@ -253,7 +254,11 @@ CompiledPattern RandomPattern(const AuditDatabase& db, Rng* rng) {
     pattern.subject.has_constraints = true;
   }
   if (rng->Uniform(2) == 0) {
-    size_t universe = db.entities().NumEntities(pattern.object.type);
+    // Now and then a universe smaller than the id space, so some object
+    // ids fall outside the candidate set's words.
+    size_t universe = rng->Uniform(4) == 0
+                          ? 1 + rng->Uniform(3)
+                          : db.entities().NumEntities(pattern.object.type);
     EntitySet candidates(universe);
     for (size_t id = 0; id < universe; ++id) {
       if (rng->Uniform(2) == 0) candidates.Add(static_cast<uint32_t>(id));
@@ -279,7 +284,65 @@ TimeRange RandomRange(Rng* rng) {
   }
 }
 
-TEST(ScanKernelDifferentialTest, KernelOnAndOffArePointerIdentical) {
+/// What ScanPartition must produce for one partition.
+struct ReferenceScan {
+  std::vector<EventRef> matches;  ///< ascending row order
+  uint64_t inspected = 0;
+};
+
+bool ReferenceAccepts(const EntityFilter& filter, EntityId id) {
+  return !filter.candidates.has_value() || filter.candidates->Contains(id);
+}
+
+/// Brute-force scan over Row(i). The walk inspects every event starting in
+/// `range` (the columnar path), or only those of the pattern's ops when
+/// they are at most half of them (the posting path); no op in range means
+/// nothing is inspected. Under `ctx`, each inspected row counts; every
+/// kCheckStride-th row is charged before it is tested and stops the walk
+/// when the charge fails, and any other row stops it untested once the
+/// context has stopped. Leftover rows are charged at the end.
+ReferenceScan Reference(const EventPartition& partition,
+                        const CompiledPattern& pattern, const TimeRange& range,
+                        const AgentFilterSet* agents, bool same_var,
+                        QueryContext* ctx = nullptr) {
+  std::vector<uint32_t> in_range, of_ops;
+  for (uint32_t i = 0; i < partition.size(); ++i) {
+    const Event e = partition.Row(i);
+    if (!range.Contains(e.start_ts)) continue;
+    in_range.push_back(i);
+    if (OpMaskContains(pattern.op_mask, e.op)) of_ops.push_back(i);
+  }
+  ReferenceScan ref;
+  if (of_ops.empty()) return ref;
+  const std::vector<uint32_t>& walk =
+      of_ops.size() * 2 <= in_range.size() ? of_ops : in_range;
+  uint64_t since_check = 0;
+  for (uint32_t i : walk) {
+    ++ref.inspected;
+    if (ctx != nullptr) {
+      if (++since_check < QueryContext::kCheckStride) {
+        if (ctx->stopped()) break;
+      } else {
+        const bool ok = ctx->ChargeRows(since_check).ok();
+        since_check = 0;
+        if (!ok) break;
+      }
+    }
+    const Event e = partition.Row(i);
+    if (OpMaskContains(pattern.op_mask, e.op) &&
+        e.object_type == pattern.object.type &&
+        (agents == nullptr || agents->Contains(e.agent_id)) &&
+        ReferenceAccepts(pattern.subject, e.subject) &&
+        ReferenceAccepts(pattern.object, e.object) &&
+        (!same_var || e.subject == e.object)) {
+      ref.matches.push_back(EventRef{&partition, i});
+    }
+  }
+  if (ctx != nullptr && since_check > 0) ctx->ChargeRows(since_check);
+  return ref;
+}
+
+TEST(ScanKernelDifferentialTest, ScanMatchesBruteForceReference) {
   AuditDatabase db = KernelDatabase(4000);
   Rng rng(42);
   int configs_with_matches = 0;
@@ -298,18 +361,14 @@ TEST(ScanKernelDifferentialTest, KernelOnAndOffArePointerIdentical) {
         agent_filter.has_value() ? &*agent_filter : nullptr;
     size_t total_matches = 0;
     for (const auto& [key, partition] : db.partitions()) {
-      std::vector<const Event*> with_kernels, without_kernels;
-      uint64_t inspected_on =
-          ScanPartition(*partition, pattern, range, filter, same_var,
-                        &with_kernels, nullptr, true);
-      uint64_t inspected_off =
-          ScanPartition(*partition, pattern, range, filter, same_var,
-                        &without_kernels, nullptr, false);
-      EXPECT_EQ(with_kernels, without_kernels) << "config=" << config;
-      EXPECT_EQ(inspected_on, inspected_off) << "config=" << config;
-      // Ascending event-index order, pointers into partition storage.
-      EXPECT_TRUE(std::is_sorted(with_kernels.begin(), with_kernels.end()));
-      total_matches += with_kernels.size();
+      std::vector<EventRef> out;
+      uint64_t inspected = ScanPartition(*partition, pattern, range, filter,
+                                         same_var, &out);
+      ReferenceScan ref =
+          Reference(*partition, pattern, range, filter, same_var);
+      EXPECT_EQ(out, ref.matches) << "config=" << config;
+      EXPECT_EQ(inspected, ref.inspected) << "config=" << config;
+      total_matches += out.size();
     }
     if (total_matches > 0) ++configs_with_matches;
   }
@@ -326,16 +385,14 @@ TEST(ScanKernelDifferentialTest, EmptyCandidateSetMatchesNothing) {
   pattern.subject.candidates = EntitySet(0);  // zero-word landing pad
   pattern.subject.has_constraints = true;
   for (const auto& [key, partition] : db.partitions()) {
-    for (bool kernels : {true, false}) {
-      std::vector<const Event*> out;
-      ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
-                    nullptr, false, &out, nullptr, kernels);
-      EXPECT_TRUE(out.empty());
-    }
+    std::vector<EventRef> out;
+    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
+                  nullptr, false, &out);
+    EXPECT_TRUE(out.empty());
   }
 }
 
-TEST(ScanKernelDifferentialTest, GovernedBudgetsChargeIdentically) {
+TEST(ScanKernelDifferentialTest, GovernedBudgetsChargeLikeReference) {
   AuditDatabase db = KernelDatabase(6000);
   Rng rng(7);
   // Budgets straddling stride (1024) and batch (16) boundaries, including
@@ -347,25 +404,28 @@ TEST(ScanKernelDifferentialTest, GovernedBudgetsChargeIdentically) {
     TimeRange range = RandomRange(&rng);
     QueryLimits limits;
     limits.max_rows = budget;
-    QueryContext ctx_on(limits), ctx_off(limits);
-    uint64_t inspected_on = 0, inspected_off = 0;
-    std::vector<const Event*> with_kernels, without_kernels;
+    QueryContext ctx_scan(limits), ctx_ref(limits);
+    uint64_t inspected = 0, ref_inspected = 0;
+    std::vector<EventRef> out, ref_matches;
     for (const auto& [key, partition] : db.partitions()) {
-      inspected_on += ScanPartition(*partition, pattern, range, nullptr,
-                                    false, &with_kernels, &ctx_on, true);
-      inspected_off += ScanPartition(*partition, pattern, range, nullptr,
-                                     false, &without_kernels, &ctx_off, false);
+      inspected += ScanPartition(*partition, pattern, range, nullptr, false,
+                                 &out, &ctx_scan);
+      ReferenceScan ref =
+          Reference(*partition, pattern, range, nullptr, false, &ctx_ref);
+      ref_inspected += ref.inspected;
+      ref_matches.insert(ref_matches.end(), ref.matches.begin(),
+                         ref.matches.end());
     }
-    EXPECT_EQ(with_kernels, without_kernels) << "budget=" << budget;
-    EXPECT_EQ(inspected_on, inspected_off) << "budget=" << budget;
-    EXPECT_EQ(ctx_on.rows_charged(), ctx_off.rows_charged())
+    EXPECT_EQ(out, ref_matches) << "budget=" << budget;
+    EXPECT_EQ(inspected, ref_inspected) << "budget=" << budget;
+    EXPECT_EQ(ctx_scan.rows_charged(), ctx_ref.rows_charged())
         << "budget=" << budget;
-    EXPECT_EQ(ctx_on.Check().code(), ctx_off.Check().code())
+    EXPECT_EQ(ctx_scan.Check().code(), ctx_ref.Check().code())
         << "budget=" << budget;
   }
 }
 
-TEST(ScanKernelDifferentialTest, ExhaustedBudgetStopsBothModesUpFront) {
+TEST(ScanKernelDifferentialTest, ExhaustedBudgetStopsScanUpFront) {
   AuditDatabase db = KernelDatabase(2000);
   CompiledPattern pattern;
   pattern.op_mask = static_cast<OpMask>(0x1FF);
@@ -373,17 +433,15 @@ TEST(ScanKernelDifferentialTest, ExhaustedBudgetStopsBothModesUpFront) {
   pattern.object.type = EntityType::kFile;
   QueryLimits limits;
   limits.max_rows = 1;
-  for (bool kernels : {true, false}) {
-    QueryContext ctx(limits);
-    ASSERT_FALSE(ctx.ChargeRows(10).ok());  // already violated
-    std::vector<const Event*> out;
-    for (const auto& [key, partition] : db.partitions()) {
-      ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
-                    nullptr, false, &out, &ctx, kernels);
-    }
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(ctx.Check().code(), StatusCode::kResourceExhausted);
+  QueryContext ctx(limits);
+  ASSERT_FALSE(ctx.ChargeRows(10).ok());  // already violated
+  std::vector<EventRef> out;
+  for (const auto& [key, partition] : db.partitions()) {
+    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
+                  nullptr, false, &out, &ctx);
   }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(ctx.Check().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // invariants all hold — never a crash. The footer directory's statistics,
 // which partition selection trusts without decoding a segment, must be
 // refused when forged (op counts, event counts, time bounds, op fences,
-// exe counts, summary length), and mutated footers must decode cleanly or
-// not at all.
+// exe counts, summary length), mutated footers must decode cleanly or not
+// at all, and a segment must not reopen against a summary its own reverse
+// indexes do not rebuild.
 
 #include <gtest/gtest.h>
 
@@ -79,22 +80,17 @@ std::string CheckInvariants(const EventPartition& p,
   if (cols.size() != n || cols.end_ts.size() != n ||
       cols.subject.size() != n || cols.object.size() != n ||
       cols.agent_id.size() != n || cols.amount.size() != n ||
-      cols.op.size() != n || cols.object_type.size() != n) {
+      cols.merge_count.size() != n || cols.op.size() != n ||
+      cols.object_type.size() != n) {
     return "column sizes";
   }
   uint64_t raw = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Event& e = p.events()[i];
-    if (cols.start_ts[i] != e.start_ts || cols.end_ts[i] != e.end_ts ||
-        cols.subject[i] != e.subject || cols.object[i] != e.object ||
-        cols.agent_id[i] != e.agent_id || cols.amount[i] != e.amount ||
-        cols.op[i] != e.op || cols.object_type[i] != e.object_type) {
-      return "columns disagree with rows";
-    }
+    const Event e = p.Row(i);
     if (e.end_ts < e.start_ts) return "interval";
-    if (i > 0 && (e.start_ts < p.events()[i - 1].start_ts ||
-                  (e.start_ts == p.events()[i - 1].start_ts &&
-                   e.end_ts < p.events()[i - 1].end_ts))) {
+    if (i > 0 && (e.start_ts < p.Row(i - 1).start_ts ||
+                  (e.start_ts == p.Row(i - 1).start_ts &&
+                   e.end_ts < p.Row(i - 1).end_ts))) {
       return "order";
     }
     if (static_cast<int>(e.op) >= kNumOpTypes ||
@@ -109,7 +105,7 @@ std::string CheckInvariants(const EventPartition& p,
     raw += e.merge_count;
   }
   if (raw != p.raw_event_count()) return "raw count";
-  if (n > 0 && (p.min_ts() != p.events().front().start_ts)) return "min_ts";
+  if (n > 0 && (p.min_ts() != cols.start_ts.front())) return "min_ts";
 
   std::vector<int> covered(n, 0);
   for (int op = 0; op < kNumOpTypes; ++op) {
@@ -474,6 +470,37 @@ TEST_F(SegmentDecodeTest, SeededMutationsNeverCrash) {
     ExpectCleanOutcome(bytes, "forged varint case " + std::to_string(c) +
                                   " at " + std::to_string(start));
   }
+}
+
+TEST_F(FooterDecodeTest, SummaryDisagreeingWithIndexesFailsReopen) {
+  // A footer that is itself well formed (it decodes, and its checksum would
+  // be recomputed over these bytes) but whose entity summary has one bit
+  // changed: the segment's indexes rebuild a different summary, so the
+  // reopen must fail instead of serving a partition that hops could skip.
+  const std::string& summary = entry_.key_summary;
+  ASSERT_FALSE(summary.empty());
+  int cases = 0;
+  bool clear_bit_tried = false;
+  for (size_t bit = 0; bit < summary.size() * 8; ++bit) {
+    const char mask = static_cast<char>(1 << (bit % 8));
+    // Every set bit cleared, plus the first clear bit set.
+    if ((summary[bit / 8] & mask) == 0) {
+      if (clear_bit_tried) continue;
+      clear_bit_tried = true;
+    }
+    snapfmt::PartitionDirEntry forged = entry_;
+    forged.key_summary[bit / 8] = static_cast<char>(summary[bit / 8] ^ mask);
+    snapfmt::FooterData decoded;
+    ASSERT_TRUE(Decode(Encode(forged), &decoded).ok()) << "bit " << bit;
+    EventPartition reopened;
+    Status status = snapfmt::DecodePartitionSegment(
+        segment_, decoded.partitions[0], store(), &reopened);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "bit " << bit;
+    EXPECT_NE(status.message().find("summary"), std::string::npos)
+        << status.ToString();
+    ++cases;
+  }
+  EXPECT_GT(cases, 1);
 }
 
 TEST_F(FooterDecodeTest, SeededMutationsNeverCrash) {

@@ -147,12 +147,12 @@ TEST_F(SnapshotAppendTest, AppendCommitReadBackRoundTrip) {
   for (size_t i = 0; i < entries.size(); ++i) {
     auto loaded = (*appender)->ReadPartition(entries[i], db.entities());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    const std::vector<Event>& got = (*loaded)->events();
-    const std::vector<Event>& want = sealed[i].second->events();
+    const EventPartition& got = **loaded;
+    const EventPartition& want = *sealed[i].second;
     ASSERT_EQ(got.size(), want.size());
     for (size_t e = 0; e < want.size(); ++e) {
-      EXPECT_TRUE(EventsEqual(got[e], want[e])) << "partition " << i
-                                                << " event " << e;
+      EXPECT_TRUE(EventsEqual(got.Row(e), want.Row(e))) << "partition " << i
+                                                        << " event " << e;
     }
     EXPECT_EQ(entries[i].events, want.size());
   }

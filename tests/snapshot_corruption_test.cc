@@ -2,7 +2,7 @@
 // point and every single-bit flip must surface as a clean Status — never a
 // crash, never silently wrong data. Sections are targeted individually
 // (magic, version, META segment, partition segments, footer, trailer), and
-// a golden v1 fixture pins the backward-compat load path.
+// a file with the retired v1 magic must be refused as unsupported.
 
 #include <gtest/gtest.h>
 
@@ -232,61 +232,28 @@ TEST_F(SnapshotCorruptionTest, ForeignAndEmptyFilesAreRejected) {
             StatusCode::kIOError);
 }
 
-// --- v1 backward compatibility ----------------------------------------------
+// --- retired v1 format -------------------------------------------------------
 
-class SnapshotV1CompatTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = std::string("/tmp/aiql_snapshot_v1_compat_") +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".snap";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
-};
+TEST(SnapshotV1RefusalTest, V1MagicIsRefusedAsUnsupported) {
+  const std::string path = std::string("/tmp/aiql_snapshot_v1_refusal_") +
+                           std::to_string(reinterpret_cast<uintptr_t>(&path)) +
+                           ".snap";
+  // A v1 header ("AIQLSNP1" magic, version 2) followed by body bytes.
+  std::string bytes;
+  snapfmt::PutFixed64(&bytes, 0x4149514C534E5031ULL);
+  snapfmt::PutFixed32(&bytes, 2);
+  bytes.append(64, '\x5A');
+  WriteFile(path, bytes);
 
-TEST_F(SnapshotV1CompatTest, GoldenV1FixtureStillLoads) {
-  AuditDatabase db = BuildDatabase();
-  ASSERT_TRUE(SaveSnapshotV1(db, path_).ok());
-
-  auto loaded = LoadSnapshot(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->sealed());
-  EXPECT_EQ(loaded->stats().total_events, db.stats().total_events);
-  EXPECT_EQ(loaded->stats().total_partitions, db.stats().total_partitions);
-  EXPECT_EQ(loaded->entities().processes().size(),
-            db.entities().processes().size());
-
-  // Query equivalence across the compat load.
-  AiqlEngine original(&db);
-  AiqlEngine reloaded(&*loaded);
-  const std::string query =
-      "agentid = 1 proc p[\"%proc1%\"] write file f return distinct p, f";
-  auto expected = original.Execute(query);
-  auto actual = reloaded.Execute(query);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  expected->table.SortRows();
-  actual->table.SortRows();
-  EXPECT_EQ(actual->table, expected->table);
-  EXPECT_GT(actual->table.num_rows(), 0u);
-}
-
-TEST_F(SnapshotV1CompatTest, V1CorruptionStillDetected) {
-  AuditDatabase db = BuildDatabase();
-  ASSERT_TRUE(SaveSnapshotV1(db, path_).ok());
-  std::string bytes = ReadFile(path_);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xFF);
-  WriteFile(path_, bytes);
-  EXPECT_EQ(LoadSnapshot(path_).status().code(), StatusCode::kCorruption);
-}
-
-TEST_F(SnapshotV1CompatTest, LazyStoreRefusesV1WithClearMessage) {
-  AuditDatabase db = BuildDatabase();
-  ASSERT_TRUE(SaveSnapshotV1(db, path_).ok());
-  auto store = SnapshotStore::Open(path_);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(store.status().message().find("v1"), std::string::npos);
+  auto expect_refused = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("v1"), std::string::npos);
+    EXPECT_NE(status.message().find("unsupported"), std::string::npos);
+  };
+  expect_refused(SnapshotStore::Open(path).status());
+  expect_refused(LoadSnapshot(path).status());
+  std::remove(path.c_str());
 }
 
 }  // namespace

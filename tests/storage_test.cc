@@ -73,9 +73,9 @@ TEST(DedupTest, MergesRepeatedEventsWithinWindow) {
   EXPECT_EQ(db.stats().total_events, 1u);
   const auto& partition = *db.partitions().begin()->second;
   ASSERT_EQ(partition.size(), 1u);
-  EXPECT_EQ(partition.events()[0].amount, 1000u);  // amounts accumulate
-  EXPECT_EQ(partition.events()[0].merge_count, 10u);
-  EXPECT_EQ(partition.events()[0].end_ts, T0() + 9 * kSecond + kSecond);
+  EXPECT_EQ(partition.Row(0).amount, 1000u);  // amounts accumulate
+  EXPECT_EQ(partition.Row(0).merge_count, 10u);
+  EXPECT_EQ(partition.Row(0).end_ts, T0() + 9 * kSecond + kSecond);
 }
 
 TEST(DedupTest, GapBeyondWindowSplitsEvents) {
@@ -89,6 +89,43 @@ TEST(DedupTest, GapBeyondWindowSplitsEvents) {
           .ok());
   db.Seal();
   EXPECT_EQ(db.stats().total_events, 2u);
+}
+
+TEST(DedupTest, GapNearTimestampLimitsDoesNotOverflow) {
+  // start - tail.end would overflow int64 in both directions; the gap is
+  // compared without forming it (UBSan flags the subtraction otherwise).
+  StorageOptions options;
+  options.dedup_window = 2 * kSecond;
+  AuditDatabase db(options);
+  FileRef file{1, "/tmp/far"};
+  EventRecord wide = Rec(1, OpType::kWrite, -5'000'000'000'000'000'000, 10,
+                         "a", file);
+  wide.end_ts = INT64_MAX;
+  ASSERT_TRUE(db.Append(wide).ok());
+  // Starts inside the open-ended interval: merges.
+  ASSERT_TRUE(db.Append(Rec(1, OpType::kWrite, wide.start_ts, 5, "a", file))
+                  .ok());
+  ASSERT_TRUE(db.Seal().ok());
+  EXPECT_EQ(db.stats().raw_events, 2u);
+  ASSERT_EQ(db.stats().total_events, 1u);
+  const EventPartition& merged = *db.partitions().begin()->second;
+  EXPECT_EQ(merged.Row(0).merge_count, 2u);
+  EXPECT_EQ(merged.Row(0).amount, 15u);
+  EXPECT_EQ(merged.Row(0).end_ts, INT64_MAX);
+
+  // A gap wider than INT64_MAX never merges.
+  EventPartition partition;
+  Event early;
+  early.start_ts = INT64_MIN + 1;
+  early.end_ts = -5'000'000'000'000'000'000;
+  Event late = early;
+  late.start_ts = 5'000'000'000'000'000'000;
+  late.end_ts = late.start_ts;
+  EXPECT_FALSE(partition.Append(early, 2 * kSecond));
+  EXPECT_FALSE(partition.Append(late, 2 * kSecond));
+  partition.Seal();
+  EXPECT_EQ(partition.size(), 2u);
+  EXPECT_EQ(partition.raw_event_count(), 2u);
 }
 
 TEST(DedupTest, DifferentKeysNeverMerge) {
@@ -286,8 +323,8 @@ TEST(PartitionTest, SealedPartitionIsSortedAndSearchable) {
   db.Seal();
   const auto& partition = *db.partitions().begin()->second;
   for (size_t i = 1; i < partition.size(); ++i) {
-    EXPECT_LE(partition.events()[i - 1].start_ts,
-              partition.events()[i].start_ts);
+    EXPECT_LE(partition.Row(i - 1).start_ts,
+              partition.Row(i).start_ts);
   }
   EXPECT_EQ(partition.LowerBound(T0() + 3 * kMinute), 2u);
   EXPECT_EQ(partition.LowerBound(T0() + 10 * kMinute), 5u);
@@ -373,8 +410,8 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
     ASSERT_EQ(orig_it->first, load_it->first);
     ASSERT_EQ(orig_it->second->size(), load_it->second->size());
     for (size_t i = 0; i < orig_it->second->size(); ++i) {
-      const Event& a = orig_it->second->events()[i];
-      const Event& b = load_it->second->events()[i];
+      const Event a = orig_it->second->Row(i);
+      const Event b = load_it->second->Row(i);
       EXPECT_EQ(a.start_ts, b.start_ts);
       EXPECT_EQ(a.subject, b.subject);
       EXPECT_EQ(a.object, b.object);
