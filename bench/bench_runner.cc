@@ -1108,12 +1108,10 @@ StorageRun RunStorageBench(const std::vector<EventRecord>& records) {
   run.partitions = db.stats().total_partitions;
   uint64_t sum = 0;
   run.scan_us = TimeUs([&] {
-    db.ForEachPartition(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
-                        [&](const PartitionKey&, const EventPartition& p) {
-                          for (uint64_t amount : p.columns().amount) {
-                            sum += amount;
-                          }
-                        });
+    ReadView view = db.OpenReadView();
+    for (const auto& [key, partition] : view.partitions()) {
+      for (uint64_t amount : partition->columns().amount) sum += amount;
+    }
   });
   run.scan_checksum = sum;
   return run;

@@ -61,15 +61,13 @@ void ScanSweep(benchmark::State& state, OpMask mask) {
   for (auto _ : state) {
     inspected = 0;
     matches = 0;
-    db.ForEachPartition(
-        TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
-        [&](const PartitionKey&, const EventPartition& partition) {
-          std::vector<EventRef> out;
-          inspected += ScanPartition(partition, pattern,
-                                     TimeRange{INT64_MIN, INT64_MAX}, nullptr,
-                                     false, &out);
-          matches += out.size();
-        });
+    ReadView view = db.OpenReadView();
+    for (const auto& [key, partition] : view.partitions()) {
+      std::vector<EventRef> out;
+      inspected += ScanPartition(*partition, pattern,
+                                 TimeRange{INT64_MIN, INT64_MAX}, false, &out);
+      matches += out.size();
+    }
     benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(static_cast<int64_t>(inspected) *

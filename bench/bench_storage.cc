@@ -1,5 +1,5 @@
 // Storage micro-benchmarks (paper §2.1 data stats / storage optimizations):
-// ingest throughput with and without deduplication and partitioning, dedup
+// ingest throughput with and without deduplication, dedup
 // ratio on the simulated workload, scan throughput, and the LIKE matcher
 // that underlies every entity constraint.
 //
@@ -32,7 +32,6 @@ void BM_IngestOptimized(benchmark::State& state) {
   for (auto _ : state) {
     StorageOptions options;
     options.dedup_window = state.range(0) * kSecond;
-    options.enable_partitioning = state.range(1) != 0;
     AuditDatabase db(options);
     for (const EventRecord& record : records) {
       benchmark::DoNotOptimize(db.Append(record).ok());
@@ -42,14 +41,11 @@ void BM_IngestOptimized(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(records.size()) *
                           state.iterations());
-  state.SetLabel("dedup=" + std::to_string(state.range(0)) +
-                 "s partitioning=" + std::to_string(state.range(1)));
+  state.SetLabel("dedup=" + std::to_string(state.range(0)) + "s");
 }
 BENCHMARK(BM_IngestOptimized)
-    ->Args({3, 1})   // full optimizations
-    ->Args({0, 1})   // no dedup
-    ->Args({3, 0})   // no partitioning
-    ->Args({0, 0})   // neither
+    ->Arg(3)  // full optimizations
+    ->Arg(0)  // no dedup
     ->Unit(benchmark::kMillisecond);
 
 void BM_DedupRatio(benchmark::State& state) {
@@ -79,11 +75,10 @@ void BM_PartitionScan(benchmark::State& state) {
   }();
   uint64_t sum = 0;
   for (auto _ : state) {
-    db->ForEachPartition(
-        TimeRange{INT64_MIN, INT64_MAX}, std::nullopt,
-        [&](const PartitionKey&, const EventPartition& partition) {
-          for (uint64_t amount : partition.columns().amount) sum += amount;
-        });
+    ReadView view = db->OpenReadView();
+    for (const auto& [key, partition] : view.partitions()) {
+      for (uint64_t amount : partition->columns().amount) sum += amount;
+    }
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(

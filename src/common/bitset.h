@@ -1,13 +1,10 @@
 // Dense uint32-keyed bitsets shared by the query engine's id-set machinery.
 //
-// Candidate entity sets, dictionary-match sets, and agent filters are all
-// "set of small uint32 ids" — DenseBitset is the one flat-word
-// representation behind them, exposing its raw words so the batch scan
-// kernels can test membership with a shift+mask and no bounds branch when
-// the caller guarantees ids < universe. IdFilter layers a guarded hybrid on
-// top for ids with no universe bound (agent ids come straight from query
-// text): dense words below a cap, sorted overflow above it, so a hostile
-// id near UINT32_MAX cannot force a multi-hundred-MB allocation.
+// Candidate entity sets and dictionary-match sets are both "set of small
+// uint32 ids" — DenseBitset is the one flat-word representation behind
+// them, exposing its raw words so the batch scan kernels can test
+// membership with a shift+mask and no bounds branch when the caller
+// guarantees ids < universe.
 
 #ifndef AIQL_COMMON_BITSET_H_
 #define AIQL_COMMON_BITSET_H_
@@ -98,42 +95,6 @@ class DenseBitset {
 
  private:
   std::vector<uint64_t> bits_;
-};
-
-/// Membership filter over arbitrary uint32 ids with no universe bound.
-/// Ids below kDenseLimit (or below max_id + 1, whichever is smaller) live
-/// in a dense bitset; larger ids fall back to a sorted vector, so a query
-/// naming agentid = 4000000000 costs a binary search, not a 500MB bitset.
-class IdFilter {
- public:
-  /// Ids above this go to the sorted-overflow representation.
-  static constexpr uint32_t kDenseLimit = 1u << 20;
-
-  explicit IdFilter(const std::vector<uint32_t>& ids) {
-    uint32_t dense_max = 0;
-    for (uint32_t id : ids) {
-      if (id < kDenseLimit) {
-        dense_max = std::max(dense_max, id);
-      } else {
-        sparse_.push_back(id);
-      }
-    }
-    dense_ = DenseBitset(static_cast<size_t>(dense_max) + 1);
-    for (uint32_t id : ids) {
-      if (id < kDenseLimit) dense_.Add(id);
-    }
-    std::sort(sparse_.begin(), sparse_.end());
-    sparse_.erase(std::unique(sparse_.begin(), sparse_.end()), sparse_.end());
-  }
-
-  bool Contains(uint32_t id) const {
-    if (id < kDenseLimit) return dense_.Contains(id);
-    return std::binary_search(sparse_.begin(), sparse_.end(), id);
-  }
-
- private:
-  DenseBitset dense_;
-  std::vector<uint32_t> sparse_;
 };
 
 }  // namespace aiql

@@ -178,12 +178,6 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
   auto exec_start = Clock::now();
 
   // --- scan ------------------------------------------------------------------
-  // With partitioning on, partition selection already restricts agents.
-  std::optional<AgentFilterSet> agent_filter;
-  if (analyzed.agent_filter.has_value() &&
-      !view_->options().enable_partitioning) {
-    agent_filter.emplace(*analyzed.agent_filter);
-  }
   std::vector<EventRef> events;
   AIQL_ASSIGN_OR_RETURN(
       auto partitions,
@@ -193,7 +187,6 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
   for (const auto& [key, partition] : partitions) {
     stats.events_scanned += ScanPartition(
         *partition, pattern, pattern.time_range,
-        agent_filter.has_value() ? &*agent_filter : nullptr,
         /*same_var_both_sides=*/false, &events, ctx);
     if (ctx != nullptr) AIQL_RETURN_IF_ERROR(ctx->Check());
   }

@@ -133,17 +133,6 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
   std::vector<bool> scanned(num_patterns, false);
   bool empty_result = false;
 
-  // Agent filter as a hybrid bitset, built once per query. When partitioning
-  // is on, SelectPartitions already restricts agents, so no per-event check
-  // is needed at all; the flat-storage ablation still needs it.
-  const AgentFilterSet* agent_filter = nullptr;
-  std::optional<AgentFilterSet> agent_filter_storage;
-  if (analyzed.agent_filter.has_value() &&
-      !view_->options().enable_partitioning) {
-    agent_filter_storage.emplace(*analyzed.agent_filter);
-    agent_filter = &*agent_filter_storage;
-  }
-
   for (size_t rank = 0; rank < order.size() && !empty_result; ++rank) {
     CompiledPattern& pattern = patterns[order[rank]];
     const EventPatternAst& pattern_ast = ast.patterns[pattern.index];
@@ -223,8 +212,7 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
       ScopedQueryContext bind(ctx);
       local_scanned[pi] =
           ScanPartition(*partitions[pi].second, pattern, pattern.time_range,
-                        agent_filter, same_var_both_sides,
-                        &local_matches[pi], ctx);
+                        same_var_both_sides, &local_matches[pi], ctx);
     };
 
     if (options_.enable_parallelism && pool_ != nullptr &&

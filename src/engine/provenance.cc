@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/bitset.h"
 #include "common/failpoint.h"
 #include "engine/shard_merge.h"
 #include "storage/key_summary.h"
@@ -111,20 +110,6 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
   const OpMask subject_side_mask =
       options.op_mask &
       (backward ? kObjectToSubjectOps : kSubjectToObjectOps);
-
-  // Per-event agent check is only needed without partition pruning (the
-  // flat-storage ablation); partitioned views restrict agents during
-  // partition selection. Hybrid bitset: the hop loop's check is an
-  // id-compare, not a hash probe.
-  std::optional<IdFilter> agent_set;
-  if (options.agents.has_value()) {
-    for (const ReadView& view : views) {
-      if (!view.options().enable_partitioning) {
-        agent_set.emplace(*options.agents);
-        break;
-      }
-    }
-  }
 
   ProvenanceResult result;
   // Node identity. Entity ids are per-shard, so every shard keeps its own
@@ -398,10 +383,6 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
             if (windowed && start_ts > reach) continue;
           }
           if (!window.Contains(start_ts)) continue;
-          if (agent_set.has_value() &&
-              !agent_set->Contains(cols.agent_id[row])) {
-            continue;
-          }
           Candidate candidate;
           candidate.start_ts = start_ts;
           candidate.end_ts = end_ts;

@@ -28,13 +28,10 @@ struct RowTest {
   size_t subj_nwords = 0;
   const uint64_t* obj_words = nullptr;   ///< null = all objects accepted
   size_t obj_nwords = 0;
-  const AgentFilterSet* agents = nullptr;
   bool same_var = false;
 };
 
-RowTest MakeRowTest(const CompiledPattern& pattern,
-                    const AgentFilterSet* agent_filter,
-                    bool same_var_both_sides) {
+RowTest MakeRowTest(const CompiledPattern& pattern, bool same_var_both_sides) {
   RowTest t;
   for (int op = 0; op < kNumOpTypes; ++op) {
     t.op_ok[op] =
@@ -57,7 +54,6 @@ RowTest MakeRowTest(const CompiledPattern& pattern,
       t.obj_nwords = 1;
     }
   }
-  t.agents = agent_filter;
   t.same_var = same_var_both_sides;
   return t;
 }
@@ -100,12 +96,6 @@ void RunBatch(const EventPartition& partition, const RowTest& t, size_t begin,
       ok[j] &= ProbeBit(t.obj_words, t.obj_nwords, obj[j]);
     }
   }
-  if (t.agents != nullptr) {
-    const AgentId* agent = cols.agent_id.data() + begin;
-    for (size_t j = 0; j < n; ++j) {
-      ok[j] &= static_cast<uint8_t>(t.agents->Contains(agent[j]));
-    }
-  }
   if (t.same_var) {
     for (size_t j = 0; j < n; ++j) {
       ok[j] &= static_cast<uint8_t>(subj[j] == obj[j]);
@@ -123,9 +113,6 @@ void RunBatch(const EventPartition& partition, const RowTest& t, size_t begin,
 inline bool TestRow(const EventColumns& cols, const RowTest& t, size_t i) {
   if (t.op_ok[static_cast<size_t>(cols.op[i])] == 0) return false;
   if (static_cast<uint8_t>(cols.object_type[i]) != t.target_object_type) {
-    return false;
-  }
-  if (t.agents != nullptr && !t.agents->Contains(cols.agent_id[i])) {
     return false;
   }
   EntityId subject = cols.subject[i];
@@ -197,7 +184,6 @@ uint64_t GovernedBatchScan(const EventPartition& partition, const RowTest& t,
 
 uint64_t ScanPartition(const EventPartition& partition,
                        const CompiledPattern& pattern, const TimeRange& range,
-                       const AgentFilterSet* agent_filter,
                        bool same_var_both_sides, std::vector<EventRef>* out,
                        QueryContext* ctx) {
   size_t row_begin = partition.LowerBound(range.start);
@@ -206,8 +192,7 @@ uint64_t ScanPartition(const EventPartition& partition,
   size_t range_rows = row_end - row_begin;
 
   const EventColumns& cols = partition.columns();
-  const RowTest row_test = MakeRowTest(pattern, agent_filter,
-                                       same_var_both_sides);
+  const RowTest row_test = MakeRowTest(pattern, same_var_both_sides);
 
   // Gather the time-clipped posting cursors for the ops in the mask; their
   // combined length is the exact number of op-matching events in range.

@@ -19,17 +19,11 @@
 
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/cancellation.h"
 #include "engine/data_query.h"
 #include "storage/partition.h"
 
 namespace aiql {
-
-/// Agent filter materialized once per query. A hybrid bitset (IdFilter):
-/// O(1) branch-light membership for the scan kernels, sorted-overflow
-/// fallback so hostile agent ids cannot force huge allocations.
-using AgentFilterSet = IdFilter;
 
 /// Rows per batch-kernel iteration. Divides QueryContext::kCheckStride so
 /// batch boundaries align with governance stride boundaries.
@@ -39,10 +33,10 @@ static_assert(QueryContext::kCheckStride % kScanBatch == 0,
               "must be batch-aligned");
 
 /// Scans `partition` for events matching `pattern` within `range` and
-/// appends references to them to `*out`. `agent_filter` may be null (no
-/// per-event agent check); `same_var_both_sides` additionally requires
-/// subject == object. Returns the number of events inspected. The
-/// partition must be sealed.
+/// appends references to them to `*out`. `same_var_both_sides`
+/// additionally requires subject == object. No agent is tested: partition
+/// selection already restricted agents. Returns the number of events
+/// inspected. The partition must be sealed.
 ///
 /// `ctx` (optional) is charged one row per event inspected, at
 /// QueryContext::kCheckStride granularity; on a governance violation the
@@ -50,7 +44,6 @@ static_assert(QueryContext::kCheckStride % kScanBatch == 0,
 /// the latched status via ctx->Check().
 uint64_t ScanPartition(const EventPartition& partition,
                        const CompiledPattern& pattern, const TimeRange& range,
-                       const AgentFilterSet* agent_filter,
                        bool same_var_both_sides, std::vector<EventRef>* out,
                        QueryContext* ctx = nullptr);
 

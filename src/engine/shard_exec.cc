@@ -226,17 +226,6 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
     });
   }
 
-  // Per-shard per-event agent re-check, only needed where partition
-  // selection cannot restrict agents (flat-storage ablation). The filter is
-  // a hybrid bitset, so the re-check is an id-compare, not a hash probe.
-  std::vector<std::optional<AgentFilterSet>> agent_filters(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (analyzed.agent_filter.has_value() &&
-        !views[s].options().enable_partitioning) {
-      agent_filters[s].emplace(*analyzed.agent_filter);
-    }
-  }
-
   QueryStats scatter_stats;
   std::vector<GlobalMatches> matches(num_patterns);
   for (auto& m : matches) m.per_shard.resize(num_shards);
@@ -359,13 +348,10 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
     auto scan_partition = [&](size_t i) {
       ScopedQueryContext bind(ctx);
       const FlatPartition& fp = flat[i];
-      const AgentFilterSet* agent_filter =
-          agent_filters[fp.shard].has_value() ? &*agent_filters[fp.shard]
-                                              : nullptr;
       // Anomaly's single-db scan never requires subject==object identity,
       // so its scatter must not either (central re-run settles semantics).
       local_scanned[i] = ScanPartition(
-          *fp.partition, compiled[fp.shard][p], ranges[p], agent_filter,
+          *fp.partition, compiled[fp.shard][p], ranges[p],
           anomaly ? false : same_var_both_sides, &local[i], ctx);
     };
     if (options.enable_parallelism && pool != nullptr && flat.size() > 1) {

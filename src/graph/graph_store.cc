@@ -18,6 +18,9 @@ void GraphStore::AddEdge(const Event& event) {
 }
 
 GraphStore::GraphStore(const AuditDatabase* db) : entities_(&db->entities()) {
+  // The edges copy every event out of one read view; the view holds the
+  // database's state lock only while they are copied.
+  ReadView view = db->OpenReadView();
   const EntityStore& es = *entities_;
   file_base_ = static_cast<NodeId>(es.processes().size());
   net_base_ = file_base_ + static_cast<NodeId>(es.files().size());
@@ -26,8 +29,7 @@ GraphStore::GraphStore(const AuditDatabase* db) : entities_(&db->entities()) {
   out_.resize(num_nodes_);
   in_.resize(num_nodes_);
 
-  for (const auto& [key, partition] :
-       db->SelectPartitions(TimeRange{INT64_MIN, INT64_MAX}, std::nullopt)) {
+  for (const auto& [key, partition] : view.partitions()) {
     (void)key;
     for (size_t row = 0; row < partition->size(); ++row) {
       AddEdge(partition->Row(row));

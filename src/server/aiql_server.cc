@@ -131,8 +131,13 @@ std::string RenderLimits(const QueryLimits& limits) {
          " bytes=" + std::to_string(limits.max_bytes);
 }
 
-std::string RenderDbStats(const AuditDatabase& db) {
-  const DatabaseStats& stats = db.stats();
+/// The single database's statistics and entity counts, read through one
+/// view of the single engine's one-shard map so they are taken under the
+/// store's state lock.
+std::string RenderDbStats(const ShardMap& single) {
+  std::vector<ReadView> views = single.OpenReadViews();
+  const DatabaseStats& stats = views[0].stats();
+  const EntityStore& entities = views[0].entities();
   char line[256];
   std::string out;
   std::snprintf(line, sizeof(line),
@@ -151,9 +156,8 @@ std::string RenderDbStats(const AuditDatabase& db) {
   out += line;
   std::snprintf(line, sizeof(line),
                 "processes/files/connections: %zu / %zu / %zu\n",
-                db.entities().processes().size(),
-                db.entities().files().size(),
-                db.entities().networks().size());
+                entities.processes().size(), entities.files().size(),
+                entities.networks().size());
   out += line;
   if (stats.total_events > 0) {
     out += "time range      : " + FormatTimestamp(stats.min_ts) + " .. " +
@@ -241,8 +245,7 @@ std::string RenderTrackSummary(const ProvenanceResult& result) {
 
 AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
                        ServerOptions options, EngineOptions engine_options)
-    : db_(db),
-      shards_(shards),
+    : shards_(shards),
       options_(std::move(options)),
       engine_single_(ServedEngine(db, engine_options)),
       engine_sharded_(ServedEngine(shards, engine_options)),
@@ -251,8 +254,7 @@ AiqlServer::AiqlServer(const AuditDatabase* db, const ShardMap* shards,
 
 AiqlServer::AiqlServer(const TieredStore* tiered, const ShardMap* shards,
                        ServerOptions options, EngineOptions engine_options)
-    : db_(tiered != nullptr ? &tiered->db() : nullptr),
-      shards_(shards),
+    : shards_(shards),
       options_(std::move(options)),
       engine_single_(ServedEngine(tiered, engine_options)),
       engine_sharded_(ServedEngine(shards, engine_options)),
@@ -309,7 +311,7 @@ void AiqlServer::UpdateAdmissionPressure() {
 }
 
 Status AiqlServer::Start() {
-  if (db_ == nullptr && shards_ == nullptr) {
+  if (engine_single_ == nullptr && shards_ == nullptr) {
     return Status::InvalidArgument("server needs a database or a shard map");
   }
   if (started_) return Status::AlreadyExists("server already started");
@@ -459,8 +461,9 @@ std::string AiqlServer::HandleRequest(Session* session,
             std::to_string(request.version) + ", server speaks " +
             std::to_string(kProtocolVersion)));
       }
-      uint64_t events = shards_ != nullptr ? shards_->TotalEvents()
-                                           : db_->stats().total_events;
+      uint64_t events = shards_ != nullptr
+                            ? shards_->TotalEvents()
+                            : engine_single_->shards().TotalEvents();
       std::string banner =
           "aiql-server protocol " + std::to_string(kProtocolVersion) + "; " +
           std::to_string(events) + " events, " +
@@ -672,7 +675,7 @@ std::string AiqlServer::HandleSetOption(Session* session,
       return ok("sharded mode on\n" + RenderShardLayout(*shards_));
     }
     if (EqualsIgnoreCase(value, "off")) {
-      if (db_ == nullptr) {
+      if (engine_single_ == nullptr) {
         return EncodeError(Status::NotFound(
             "server has no single database; sharded only"));
       }
@@ -692,7 +695,9 @@ std::string AiqlServer::HandleSetOption(Session* session,
 
 std::string AiqlServer::RenderStats(const Session& session) const {
   std::string out;
-  if (db_ != nullptr) out += RenderDbStats(*db_);
+  if (engine_single_ != nullptr) {
+    out += RenderDbStats(engine_single_->shards());
+  }
   if (shards_ != nullptr) out += RenderShardLayout(*shards_);
   if (!retention_.empty()) {
     StatsFields f = RetentionFields();

@@ -184,7 +184,6 @@ class AiqlServer {
   AiqlEngine* EngineFor(const Session& session) const;
   void ReapFinishedSessions();
 
-  const AuditDatabase* db_ = nullptr;
   const ShardMap* shards_ = nullptr;
   std::vector<const TieredStore*> retention_;
   ServerOptions options_;

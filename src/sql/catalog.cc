@@ -75,9 +75,12 @@ Status OptimizedCatalog::Scan(
   }
   if (table == "events") {
     // Partition pruning from hints (PostgreSQL constraint exclusion).
+    ReadView view = db_->OpenReadView();
+    AIQL_ASSIGN_OR_RETURN(
+        auto partitions,
+        view.SelectPartitions(hints.time, hints.agents, kAllOps));
     int64_t row_id = 0;
-    for (const auto& [key, partition] :
-         db_->SelectPartitions(hints.time, hints.agents)) {
+    for (const auto& [key, partition] : partitions) {
       for (size_t i = 0; i < partition->size(); ++i) {
         const Event e = partition->Row(i);
         fn({SqlValue(row_id++),
@@ -109,14 +112,15 @@ Result<std::vector<std::string>> FlatCatalog::GetSchema(
 Status FlatCatalog::Scan(
     const std::string& table, const ScanHints& hints,
     const std::function<void(std::vector<SqlValue>&&)>& fn) const {
-  (void)hints;  // no pruning without the optimized storage
+  // No pruning: the hints are ignored and every event is read, the cost of
+  // a raw log table without the optimized storage.
+  (void)hints;
   if (table != "audit_log") {
     return Status::NotFound("unknown table '" + table + "'");
   }
-  const EntityStore& es = db_->entities();
-  for (const auto& [key, partition] :
-       db_->SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
-                             std::nullopt)) {
+  ReadView view = db_->OpenReadView();
+  const EntityStore& es = view.entities();
+  for (const auto& [key, partition] : view.partitions()) {
     for (size_t i = 0; i < partition->size(); ++i) {
       const Event e = partition->Row(i);
       const ProcessEntity& subj = es.processes()[e.subject];

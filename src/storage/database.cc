@@ -13,9 +13,8 @@ namespace aiql {
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
                             OpMask ops, const SummaryHashes* keys,
-                            bool partitioning_enabled,
                             const PartitionStats& stats) {
-  if (agents.has_value() && partitioning_enabled) {
+  if (agents.has_value()) {
     bool found = std::find(agents->begin(), agents->end(),
                            stats.key.agent_id) != agents->end();
     if (!found) return false;
@@ -129,13 +128,11 @@ Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
 ReadView::SelectPartitions(const TimeRange& range,
                            const std::optional<std::vector<AgentId>>& agents,
                            OpMask ops, const SummaryHashes* keys) const {
-  const bool partitioned = options_->enable_partitioning;
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
   AIQL_RETURN_IF_ERROR(ForEachPartition(
       [&](const PartitionStats& stats, const EventPartition* partition,
           size_t cold) -> Status {
-        if (!PartitionStatsSelected(range, agents, ops, keys, partitioned,
-                                    stats)) {
+        if (!PartitionStatsSelected(range, agents, ops, keys, stats)) {
           return Status::OK();
         }
         if (partition == nullptr) {
@@ -150,13 +147,11 @@ ReadView::SelectPartitions(const TimeRange& range,
 Result<ReadView::EstimateCounts> ReadView::CountForEstimate(
     const TimeRange& range, const std::optional<std::vector<AgentId>>& agents,
     OpMask ops, const std::vector<StringId>& exes) const {
-  const bool partitioned = options_->enable_partitioning;
   EstimateCounts counts;
   AIQL_RETURN_IF_ERROR(ForEachPartition(
       [&](const PartitionStats& stats, const EventPartition* partition,
           size_t cold) -> Status {
-        if (!PartitionStatsSelected(range, agents, kAllOps, nullptr,
-                                    partitioned, stats)) {
+        if (!PartitionStatsSelected(range, agents, kAllOps, nullptr, stats)) {
           return Status::OK();
         }
         if (partition == nullptr) {
@@ -263,22 +258,18 @@ Status AuditDatabase::CommitRecordLocked(const EventRecord& record) {
   event.op = record.op;
   event.object_type = object_type;
 
-  int64_t bucket = 0;
-  AgentId agent = 0;
-  if (options_.enable_partitioning) {
-    bucket = record.start_ts / options_.partition_duration;
-    if (record.start_ts < 0 &&
-        record.start_ts % options_.partition_duration != 0) {
-      bucket -= 1;  // floor division for negative timestamps
-    }
-    agent = record.agent_id;
-    // Bucket rotation: once this agent's stream moves into a later bucket,
-    // its older open partitions can no longer grow — seal them.
-    auto [clock_it, first_seen] = agent_clock_.try_emplace(agent, bucket);
-    if (!first_seen && bucket > clock_it->second) {
-      RotateAgentLocked(agent, bucket);
-      clock_it->second = bucket;
-    }
+  int64_t bucket = record.start_ts / options_.partition_duration;
+  if (record.start_ts < 0 &&
+      record.start_ts % options_.partition_duration != 0) {
+    bucket -= 1;  // floor division for negative timestamps
+  }
+  const AgentId agent = record.agent_id;
+  // Bucket rotation: once this agent's stream moves into a later bucket,
+  // its older open partitions can no longer grow — seal them.
+  auto [clock_it, first_seen] = agent_clock_.try_emplace(agent, bucket);
+  if (!first_seen && bucket > clock_it->second) {
+    RotateAgentLocked(agent, bucket);
+    clock_it->second = bucket;
   }
   EventPartition* partition = GetOrCreatePartitionLocked(bucket, agent);
   StringId exe = entities_.processes()[subject].exe_name;
@@ -317,7 +308,7 @@ EventPartition* AuditDatabase::GetOrCreatePartitionLocked(int64_t bucket,
     }
   }
   auto it = partitions_.emplace_hint(hint, PartitionMapKey{bucket, agent, seq},
-                                     std::make_unique<EventPartition>());
+                                     std::make_unique<EventPartition>(agent));
   stats_.total_partitions += 1;
   EventPartition* partition = it->second.get();
   open_.emplace(open_key, std::make_pair(seq, partition));
@@ -505,35 +496,6 @@ ReadView AuditDatabase::OpenReadView() const {
 DatabaseStats AuditDatabase::StatsSnapshot() const {
   std::shared_lock<std::shared_mutex> lock(sync_->state_mu);
   return stats_;
-}
-
-std::vector<std::pair<PartitionKey, const EventPartition*>>
-AuditDatabase::SelectPartitions(
-    const TimeRange& range,
-    const std::optional<std::vector<AgentId>>& agents) const {
-  std::shared_lock<std::shared_mutex> lock(sync_->state_mu);
-  std::vector<std::pair<PartitionKey, const EventPartition*>> out;
-  for (const auto& [key, partition] : partitions_) {
-    if (!partition->sealed()) continue;
-    PartitionKey pk{std::get<0>(key), std::get<1>(key)};
-    if (!PartitionStatsSelected(range, agents, kAllOps, nullptr,
-                                options_.enable_partitioning,
-                                ResidentStats(pk, *partition))) {
-      continue;
-    }
-    out.emplace_back(pk, partition.get());
-  }
-  return out;
-}
-
-void AuditDatabase::ForEachPartition(
-    const TimeRange& range,
-    const std::optional<std::vector<AgentId>>& agents,
-    const std::function<void(const PartitionKey&, const EventPartition&)>& fn)
-    const {
-  for (const auto& [key, partition] : SelectPartitions(range, agents)) {
-    fn(key, *partition);
-  }
 }
 
 }  // namespace aiql

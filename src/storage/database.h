@@ -64,10 +64,6 @@ struct StorageOptions {
   /// Merge window for event deduplication; 0 disables merging.
   Duration dedup_window = 3 * kSecond;
 
-  /// If false, all events land in a single partition regardless of time or
-  /// agent (ablation: storage without spatial/temporal partitioning).
-  bool enable_partitioning = true;
-
   /// Records buffered before a batch commit to the partitions.
   size_t batch_commit_size = 8192;
 
@@ -149,10 +145,11 @@ struct PartitionStats {
 using SummaryHashes = std::vector<uint64_t>;
 
 /// The one partition-selection predicate of every read path (database,
-/// snapshot and tiered views, and the raw database API), evaluated on
-/// statistics alone so a cold partition that cannot match is never
-/// materialized. A partition is selected when it is non-empty, its agent
-/// is in `agents` (nullopt = all; ignored without partitioning), its
+/// snapshot and tiered views), evaluated on statistics alone so a cold
+/// partition that cannot match is never materialized. This is the only
+/// place a query's agent restriction applies: a partition holds one
+/// agent's events. A partition is selected when it is non-empty, its agent
+/// is in `agents` (nullopt = all), its
 /// [min_ts, max_ts] overlaps `range`, it holds an event of some op in
 /// `ops`, and — when `keys` is given and the partition carries a summary —
 /// its summary may hold one of `keys`. The `storage.summary.miss`
@@ -161,7 +158,6 @@ using SummaryHashes = std::vector<uint64_t>;
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
                             OpMask ops, const SummaryHashes* keys,
-                            bool partitioning_enabled,
                             const PartitionStats& stats);
 
 /// A consistent snapshot of the database's sealed partitions plus aggregate
@@ -267,9 +263,9 @@ class ReadView {
 
 /// The storage engine. Write path: Append/AppendBatch -> (rotation seals
 /// closed partitions automatically) -> Seal() to flush and freeze
-/// everything. Read path: OpenReadView() at any time; the raw
-/// SelectPartitions / ForEachPartition / partitions() accessors remain for
-/// batch consumers (snapshot, SQL/graph baselines) on a sealed database.
+/// everything. Read path: OpenReadView() at any time, for every reader
+/// (engine, SQL/graph baselines); partitions() remains for the snapshot
+/// writer on a sealed database.
 class AuditDatabase {
  public:
   explicit AuditDatabase(StorageOptions options = {});
@@ -326,20 +322,6 @@ class AuditDatabase {
   const EntityStore& entities() const { return entities_; }
   const StorageOptions& options() const { return options_; }
   const DatabaseStats& stats() const { return stats_; }
-
-  /// Sealed partitions overlapping `range`, optionally restricted to
-  /// `agents` (nullopt = all agents). Ordered by (bucket, agent, seq).
-  /// Streaming queries go through OpenReadView() instead.
-  std::vector<std::pair<PartitionKey, const EventPartition*>> SelectPartitions(
-      const TimeRange& range,
-      const std::optional<std::vector<AgentId>>& agents) const;
-
-  /// Convenience: applies `fn` to each selected partition.
-  void ForEachPartition(
-      const TimeRange& range,
-      const std::optional<std::vector<AgentId>>& agents,
-      const std::function<void(const PartitionKey&, const EventPartition&)>&
-          fn) const;
 
   /// All partitions (snapshot serialization).
   const std::map<PartitionMapKey, std::unique_ptr<EventPartition>>&

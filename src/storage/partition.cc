@@ -78,7 +78,6 @@ void EventColumns::Reserve(size_t n) {
   end_ts.reserve(n);
   subject.reserve(n);
   object.reserve(n);
-  agent_id.reserve(n);
   amount.reserve(n);
   merge_count.reserve(n);
   op.reserve(n);
@@ -90,7 +89,6 @@ void EventColumns::PushBack(const Event& event) {
   end_ts.push_back(event.end_ts);
   subject.push_back(event.subject);
   object.push_back(event.object);
-  agent_id.push_back(event.agent_id);
   amount.push_back(event.amount);
   merge_count.push_back(event.merge_count);
   op.push_back(event.op);
@@ -103,7 +101,7 @@ Event EventPartition::Row(size_t i) const {
                .amount = columns_.amount[i],
                .subject = columns_.subject[i],
                .object = columns_.object[i],
-               .agent_id = columns_.agent_id[i],
+               .agent_id = agent_,
                .merge_count = columns_.merge_count[i],
                .op = columns_.op[i],
                .object_type = columns_.object_type[i]};
@@ -218,9 +216,8 @@ uint64_t EventPartition::OpCountInRange(OpMask mask,
 size_t EventPartition::MemoryFootprint() const {
   size_t bytes = buffer_.size() * sizeof(Event);
   bytes += columns_.size() *
-           (sizeof(Timestamp) * 2 + sizeof(EntityId) * 2 + sizeof(AgentId) +
-            sizeof(uint64_t) + sizeof(uint32_t) + sizeof(OpType) +
-            sizeof(EntityType));
+           (sizeof(Timestamp) * 2 + sizeof(EntityId) * 2 + sizeof(uint64_t) +
+            sizeof(uint32_t) + sizeof(OpType) + sizeof(EntityType));
   for (const OpPostingList& list : op_postings_) {
     bytes += list.indexes.size() * sizeof(uint32_t);
   }
@@ -249,6 +246,7 @@ size_t EventPartition::LowerBound(Timestamp t) const {
 }
 
 void EventPartition::RestoreSealed(SealedPartitionParts parts) {
+  agent_ = parts.agent;
   columns_ = std::move(parts.columns);
   op_postings_ = std::move(parts.postings);
   subject_index_ = std::move(parts.subject_index);

@@ -5,6 +5,11 @@
 // (per-operation counts, per-subject-exe counts) that feed the engine's
 // pruning-power estimator. Partitions are the unit of parallel scanning.
 //
+// The agent is a property of the partition, not of its events: every event
+// of a partition comes from the one agent it was created for, so no column
+// stores it, Row(i) fills it in, and a query's agent restriction is applied
+// by partition selection alone.
+//
 // An open partition buffers `Event` rows for ingest and merge-dedup. Sealing
 // sorts the buffer, turns it into the partition's only event storage, and
 // releases it:
@@ -56,13 +61,13 @@ struct PartitionKeyHash {
 };
 
 /// A sealed partition's events as structure-of-arrays columns, sorted by
-/// (start_ts, end_ts); every field of `Event` has a column.
+/// (start_ts, end_ts); every field of `Event` but the partition's agent has
+/// a column.
 struct EventColumns {
   std::vector<Timestamp> start_ts;
   std::vector<Timestamp> end_ts;
   std::vector<EntityId> subject;
   std::vector<EntityId> object;
-  std::vector<AgentId> agent_id;
   std::vector<uint64_t> amount;
   std::vector<uint32_t> merge_count;
   std::vector<OpType> op;
@@ -107,6 +112,7 @@ struct OpPostingList {
 /// Everything a sealed partition holds, in the form a snapshot v2 segment
 /// decodes to. Op counts are the posting-list sizes.
 struct SealedPartitionParts {
+  AgentId agent = 0;
   EventColumns columns;
   std::array<OpPostingList, kNumOpTypes> postings;  ///< zone maps filled
   EntityPostingIndex subject_index;
@@ -120,9 +126,15 @@ struct SealedPartitionParts {
 /// One partition's events and statistics.
 class EventPartition {
  public:
-  EventPartition() { op_counts_.fill(0); }
+  explicit EventPartition(AgentId agent = 0) : agent_(agent) {
+    op_counts_.fill(0);
+  }
 
-  /// Appends an event to the open partition's buffer, attempting
+  /// The agent every event of this partition comes from.
+  AgentId agent_id() const { return agent_; }
+
+  /// Appends an event to the open partition's buffer (its agent_id is not
+  /// kept: the partition's agent stands for it), attempting
   /// merge-deduplication: an event with the same (subject, op, object_type,
   /// object) whose start falls within `dedup_window` of the previous
   /// occurrence's end is merged into it (interval extended, amounts and
@@ -162,8 +174,8 @@ class EventPartition {
   /// The sorted event columns (valid once sealed).
   const EventColumns& columns() const { return columns_; }
 
-  /// Event `i` of the sorted partition, gathered from the columns (valid
-  /// once sealed).
+  /// Event `i` of the sorted partition, gathered from the columns, with the
+  /// partition's agent (valid once sealed).
   Event Row(size_t i) const;
 
   /// Posting list of `op` (valid once sealed).
@@ -236,7 +248,7 @@ class EventPartition {
   size_t MemoryFootprint() const;
 
   /// Snapshot-v2 load hook: installs a fully sealed partition wholesale.
-  /// Columns, posting lists with their zone maps, reverse entity
+  /// Agent, columns, posting lists with their zone maps, reverse entity
   /// indexes, statistics and time bounds are all adopted exactly as the
   /// segment decoder produced them — no sort, no index rebuild, no pass over
   /// the events. Precondition: the partition is empty and `parts` satisfies
@@ -267,6 +279,7 @@ class EventPartition {
   void AccountEvent(const Event& event, StringId subject_exe);
   void BuildSealArtifacts();
 
+  AgentId agent_;
   // Ingest buffer of an open partition; empty once sealed.
   std::vector<Event> buffer_;
   EventColumns columns_;

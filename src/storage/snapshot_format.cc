@@ -129,10 +129,14 @@ void EncodeEntityIndex(std::string* out, const EntityPostingIndex& index) {
   }
 }
 
+/// The footer's options byte, kept so files stay byte-identical: every
+/// store partitions, so it is always 1 and any other value is refused.
+constexpr char kPartitionedOptionsByte = 1;
+
 void EncodeOptions(std::string* out, const StorageOptions& options) {
   PutVarintSigned(out, options.partition_duration);
   PutVarintSigned(out, options.dedup_window);
-  out->push_back(options.enable_partitioning ? 1 : 0);
+  out->push_back(kPartitionedOptionsByte);
   PutVarint64(out, options.batch_commit_size);
   PutVarint64(out, options.max_partition_events);
 }
@@ -263,14 +267,11 @@ void EncodePartitionSegment(const EventPartition& partition,
   }
   for (EntityId id : cols.subject) PutVarint64(out, id);
   for (EntityId id : cols.object) PutVarint64(out, id);
-  // agent_id: RLE — constant within a partition under time x agent
-  // partitioning, so this column is typically two varints.
-  for (size_t i = 0; i < n;) {
-    size_t run = i + 1;
-    while (run < n && cols.agent_id[run] == cols.agent_id[i]) ++run;
-    PutVarint64(out, cols.agent_id[i]);
-    PutVarint64(out, run - i);
-    i = run;
+  // agent_id: one RLE run (agent, n) of the partition's agent. The decoder
+  // requires every run to name the directory entry's agent.
+  if (n > 0) {
+    PutVarint64(out, partition.agent_id());
+    PutVarint64(out, n);
   }
   for (uint64_t amount : cols.amount) PutVarint64(out, amount);
   for (uint32_t merge_count : cols.merge_count) {
@@ -551,7 +552,10 @@ Status DecodeFooter(std::string_view bytes, uint64_t data_end,
   Cursor cur(bytes);
   footer->options.partition_duration = cur.I64();
   footer->options.dedup_window = cur.I64();
-  footer->options.enable_partitioning = cur.Byte() != 0;
+  if (cur.Byte() != kPartitionedOptionsByte && cur.ok()) {
+    return Status::InvalidArgument(
+        "unpartitioned snapshots are unsupported");
+  }
   footer->options.batch_commit_size = static_cast<size_t>(cur.U64());
   footer->options.max_partition_events = static_cast<size_t>(cur.U64());
 
@@ -722,14 +726,17 @@ Status DecodePartitionSegment(std::string_view bytes,
   if (id_bits > UINT32_MAX) {
     return Status::Corruption("partition references unknown entities");
   }
-  bool agents_ok = DecodeRuns(&cur, n,
-                              [&](AgentId* agent) {
-                                uint64_t v = cur.U64();
-                                *agent = static_cast<AgentId>(v);
-                                return v <= UINT32_MAX;
-                              },
-                              &cols.agent_id);
-  if (!agents_ok) return Status::Corruption("partition agent column corrupt");
+  // The agent runs carry no column: each must name the directory entry's
+  // agent, so a segment cannot relabel its events.
+  for (size_t covered = 0; covered < n;) {
+    uint64_t agent = cur.U64();
+    uint64_t run = cur.U64();
+    if (!cur.ok() || agent != entry.agent || run == 0 || run > n - covered) {
+      return Status::Corruption("partition agent runs corrupt");
+    }
+    covered += static_cast<size_t>(run);
+  }
+  parts.agent = entry.agent;
   cols.amount.resize(n);
   for (size_t i = 0; i < n; ++i) cols.amount[i] = cur.U64();
   cols.merge_count.resize(n);

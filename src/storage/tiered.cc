@@ -203,7 +203,8 @@ Status TieredStore::MergeSmallPartitions() {
       // are appended with dedup off, NOT re-deduplicated — dedup already
       // ran at ingest within each source, so re-merging across rollover
       // boundaries would change the stored rows and break result identity.
-      auto merged = std::make_unique<EventPartition>();
+      auto merged =
+          std::make_unique<EventPartition>(std::get<1>(sealed[i].first));
       std::vector<PartitionMapKey> keys;
       keys.reserve(j - i);
       {

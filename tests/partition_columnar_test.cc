@@ -68,30 +68,37 @@ AuditDatabase MixedDatabase() {
 using EventKey = std::tuple<Timestamp, Timestamp, uint64_t, uint32_t, int,
                             int, AgentId, uint32_t, std::string>;
 
+/// Agents the dedup groups cycle through; UINT32_MAX is the widest id.
+constexpr AgentId kDedupAgents[] = {1, 7, UINT32_MAX};
+
 /// Groups of back-to-back writes that dedup merges into one event each
-/// (merge_count = group size). Hour 0 is written, hour 1 rotates the agent's
-/// stream (sealing hour 0), then late hour-0 groups land in a second hour-0
-/// partition, and hour 2 rotates again — so hour 0 has two sibling
-/// partitions for merge compaction to fold. `model` receives the expected
-/// stored events.
+/// (merge_count = group size), spread round-robin over kDedupAgents. Hour 0
+/// is written, hour 1 rotates every agent's stream (sealing hour 0), then
+/// late hour-0 groups land in a second hour-0 partition per agent, and
+/// hour 2 rotates again — so each agent's hour 0 has two sibling partitions
+/// for merge compaction to fold. `model` receives the expected stored
+/// events.
 std::vector<EventRecord> DedupRecords(std::vector<EventKey>* model) {
   std::vector<EventRecord> records;
   int group = 0;
   auto add_groups = [&](int hour, int count) {
     for (int g = 0; g < count; ++g, ++group) {
+      const AgentId agent = kDedupAgents[group % 3];
       const uint32_t size = 1 + static_cast<uint32_t>(group % 4);
       const std::string path = "/dedup/f" + std::to_string(group);
       const Timestamp start = T0() + hour * kHour + group * kMinute;
       uint64_t amount = 0;
       for (uint32_t k = 0; k < size; ++k) {
-        EventRecord record = Rec(1, OpType::kWrite, start + k * kSecond,
-                                 10 + group + k, "writer", FileRef{1, path});
+        EventRecord record =
+            Rec(agent, OpType::kWrite, start + k * kSecond, 10 + group + k,
+                "writer", FileRef{agent, path});
         amount += record.amount;
         records.push_back(std::move(record));
       }
       model->emplace_back(start, start + size * kSecond, amount, size,
                           static_cast<int>(OpType::kWrite),
-                          static_cast<int>(EntityType::kFile), 1, 100, path);
+                          static_cast<int>(EntityType::kFile), agent, 100,
+                          path);
     }
   };
   add_groups(0, 6);
@@ -110,8 +117,8 @@ StorageOptions DedupOptions() {
 }
 
 /// Every event of `partitions`, gathered through Row(i), in model form and
-/// sorted; each partition's rows must ascend and its raw count must be the
-/// sum of its merge counts.
+/// sorted; each partition's rows must ascend, carry the partition's agent,
+/// and its raw count must be the sum of its merge counts.
 std::vector<EventKey> StoredEvents(
     const std::map<PartitionMapKey, std::unique_ptr<EventPartition>>&
         partitions,
@@ -126,6 +133,7 @@ std::vector<EventKey> StoredEvents(
         EXPECT_LE(partition->Row(i - 1).start_ts, e.start_ts);
       }
       raw += e.merge_count;
+      EXPECT_EQ(e.agent_id, std::get<1>(key));
       EXPECT_EQ(e.object_type, EntityType::kFile);
       out.emplace_back(e.start_ts, e.end_ts, e.amount, e.merge_count,
                        static_cast<int>(e.op),
@@ -145,7 +153,9 @@ TEST(ColumnarRowTest, RowsReproduceIngestedEventsAfterSeal) {
   AuditDatabase db(DedupOptions());
   ASSERT_TRUE(db.AppendBatch(DedupRecords(&model)).ok());
   ASSERT_TRUE(db.Seal().ok());
-  EXPECT_EQ(db.stats().total_partitions, 4u);  // hour 0 twice, 1, 2
+  // Per agent: hour 0 twice and hour 1; agents 1 and UINT32_MAX reach
+  // hour 2.
+  EXPECT_EQ(db.stats().total_partitions, 11u);
   EXPECT_EQ(StoredEvents(db.partitions(), db.entities()), model);
 }
 
@@ -178,8 +188,9 @@ TEST(ColumnarRowTest, RowsReproduceIngestedEventsAfterCompactionMerge) {
     ASSERT_TRUE((*store)->AppendBatch(std::move(records)).ok());
     ASSERT_TRUE((*store)->Seal().ok());
     ASSERT_TRUE((*store)->CompactOnce().ok());
-    EXPECT_EQ((*store)->stats().merges, 1u);  // the two hour-0 siblings
-    EXPECT_EQ((*store)->stats().hot_partitions, 3u);
+    // Each agent's two hour-0 siblings.
+    EXPECT_EQ((*store)->stats().merges, 3u);
+    EXPECT_EQ((*store)->stats().hot_partitions, 8u);
     const AuditDatabase& db = (*store)->db();
     EXPECT_EQ(StoredEvents(db.partitions(), db.entities()), model);
   }
@@ -288,7 +299,7 @@ TEST(ColumnarSealTest, SealArtifactsSurviveSnapshotRoundTrip) {
     EXPECT_EQ(cols.end_ts, hot_cols.end_ts);
     EXPECT_EQ(cols.subject, hot_cols.subject);
     EXPECT_EQ(cols.object, hot_cols.object);
-    EXPECT_EQ(cols.agent_id, hot_cols.agent_id);
+    EXPECT_EQ(partition->agent_id(), hot.agent_id());
     EXPECT_EQ(cols.amount, hot_cols.amount);
     EXPECT_EQ(cols.merge_count, hot_cols.merge_count);
     EXPECT_EQ(cols.op, hot_cols.op);
@@ -361,7 +372,7 @@ TEST(ZeroCopyScanTest, MatchesReferencePartitionRows) {
   TimeRange range{T0(), T0() + 3 * kHour};
   for (const auto& [key, partition] : db.partitions()) {
     std::vector<EventRef> out;
-    ScanPartition(*partition, pattern, range, nullptr, false, &out);
+    ScanPartition(*partition, pattern, range, false, &out);
     for (size_t i = 0; i < out.size(); ++i) {
       // Every match names this partition and one of its rows, ascending.
       EXPECT_EQ(out[i].partition, partition.get());
@@ -383,7 +394,7 @@ TEST(ZeroCopyScanTest, AgreesWithBruteForceRowScan) {
     CompiledPattern pattern = PatternFor(mask, EntityType::kFile);
     for (const auto& [key, partition] : db.partitions()) {
       std::vector<EventRef> out;
-      ScanPartition(*partition, pattern, range, nullptr, false, &out);
+      ScanPartition(*partition, pattern, range, false, &out);
       std::vector<EventRef> expected;
       for (uint32_t i = 0; i < partition->size(); ++i) {
         const Event event = partition->Row(i);
@@ -395,21 +406,6 @@ TEST(ZeroCopyScanTest, AgreesWithBruteForceRowScan) {
       }
       // Same matches, same (ascending row) order.
       EXPECT_EQ(out, expected);
-    }
-  }
-}
-
-TEST(ZeroCopyScanTest, AgentFilterRestrictsMatches) {
-  AuditDatabase db = MixedDatabase();
-  CompiledPattern pattern =
-      PatternFor(static_cast<OpMask>(0x1FF), EntityType::kFile);
-  AgentFilterSet only_agent2{std::vector<AgentId>{2}};
-  for (const auto& [key, partition] : db.partitions()) {
-    std::vector<EventRef> out;
-    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
-                  &only_agent2, false, &out);
-    for (EventRef match : out) {
-      EXPECT_EQ(match.Get().agent_id, 2u);
     }
   }
 }

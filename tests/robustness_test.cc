@@ -112,7 +112,6 @@ TEST(CrossEngineTest, AllThreeEnginesAgreeOnTheAtcCatalog) {
 
   auto optimized = IngestRecords(data.records, StorageOptions{});
   StorageOptions raw_options;
-  raw_options.enable_partitioning = false;
   raw_options.dedup_window = 0;
   auto raw = IngestRecords(data.records, raw_options);
   ASSERT_TRUE(optimized.ok());

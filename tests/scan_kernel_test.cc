@@ -5,8 +5,9 @@
 // inspected counts and governance charges of a test-local brute-force
 // reference that reads each event through Row(i) — across op masks, time
 // ranges, candidate sets (including empty ones and out-of-universe ids),
-// agent filters (including hostile huge ids), same-var patterns, and row
-// budgets that stop the scan mid-partition. Plus unit coverage for the
+// same-var patterns, and row budgets that stop the scan mid-partition.
+// Agents are not an axis: partition selection restricts them
+// (storage_test covers hostile agent ids there). Plus unit coverage for the
 // bitset layer and the versioned dictionary-match cache the id-set
 // predicates build on.
 
@@ -16,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,21 +76,6 @@ TEST(DenseBitsetTest, IntersectAndUnionMatchSetAlgebra) {
   d.Add(290);
   c.UnionWith(d);  // grows c
   EXPECT_EQ(c.ToVector(), (std::vector<uint32_t>{3, 290}));
-}
-
-TEST(IdFilterTest, HybridDenseSparseMembership) {
-  // A hostile id near UINT32_MAX must not blow up the allocation; it lands
-  // in the sorted-overflow representation instead.
-  std::vector<uint32_t> ids = {7, 7, 1024, 4000000000u, IdFilter::kDenseLimit,
-                               4000000000u};
-  IdFilter filter(ids);
-  EXPECT_TRUE(filter.Contains(7));
-  EXPECT_TRUE(filter.Contains(1024));
-  EXPECT_TRUE(filter.Contains(4000000000u));
-  EXPECT_TRUE(filter.Contains(IdFilter::kDenseLimit));
-  EXPECT_FALSE(filter.Contains(8));
-  EXPECT_FALSE(filter.Contains(4000000001u));
-  EXPECT_FALSE(filter.Contains(UINT32_MAX));
 }
 
 // --- dictionary-match cache -------------------------------------------------
@@ -303,8 +288,7 @@ bool ReferenceAccepts(const EntityFilter& filter, EntityId id) {
 /// context has stopped. Leftover rows are charged at the end.
 ReferenceScan Reference(const EventPartition& partition,
                         const CompiledPattern& pattern, const TimeRange& range,
-                        const AgentFilterSet* agents, bool same_var,
-                        QueryContext* ctx = nullptr) {
+                        bool same_var, QueryContext* ctx = nullptr) {
   std::vector<uint32_t> in_range, of_ops;
   for (uint32_t i = 0; i < partition.size(); ++i) {
     const Event e = partition.Row(i);
@@ -331,7 +315,6 @@ ReferenceScan Reference(const EventPartition& partition,
     const Event e = partition.Row(i);
     if (OpMaskContains(pattern.op_mask, e.op) &&
         e.object_type == pattern.object.type &&
-        (agents == nullptr || agents->Contains(e.agent_id)) &&
         ReferenceAccepts(pattern.subject, e.subject) &&
         ReferenceAccepts(pattern.object, e.object) &&
         (!same_var || e.subject == e.object)) {
@@ -350,22 +333,12 @@ TEST(ScanKernelDifferentialTest, ScanMatchesBruteForceReference) {
     CompiledPattern pattern = RandomPattern(db, &rng);
     TimeRange range = RandomRange(&rng);
     bool same_var = rng.Uniform(4) == 0;
-    std::optional<AgentFilterSet> agent_filter;
-    if (rng.Uniform(3) == 0) {
-      // Include a hostile huge id to exercise the sparse overflow.
-      agent_filter.emplace(std::vector<AgentId>{
-          static_cast<AgentId>(1 + rng.Uniform(4)),
-          static_cast<AgentId>(1 + rng.Uniform(4)), 4000000000u});
-    }
-    const AgentFilterSet* filter =
-        agent_filter.has_value() ? &*agent_filter : nullptr;
     size_t total_matches = 0;
     for (const auto& [key, partition] : db.partitions()) {
       std::vector<EventRef> out;
-      uint64_t inspected = ScanPartition(*partition, pattern, range, filter,
-                                         same_var, &out);
-      ReferenceScan ref =
-          Reference(*partition, pattern, range, filter, same_var);
+      uint64_t inspected =
+          ScanPartition(*partition, pattern, range, same_var, &out);
+      ReferenceScan ref = Reference(*partition, pattern, range, same_var);
       EXPECT_EQ(out, ref.matches) << "config=" << config;
       EXPECT_EQ(inspected, ref.inspected) << "config=" << config;
       total_matches += out.size();
@@ -386,8 +359,8 @@ TEST(ScanKernelDifferentialTest, EmptyCandidateSetMatchesNothing) {
   pattern.subject.has_constraints = true;
   for (const auto& [key, partition] : db.partitions()) {
     std::vector<EventRef> out;
-    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
-                  nullptr, false, &out);
+    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX}, false,
+                  &out);
     EXPECT_TRUE(out.empty());
   }
 }
@@ -408,10 +381,9 @@ TEST(ScanKernelDifferentialTest, GovernedBudgetsChargeLikeReference) {
     uint64_t inspected = 0, ref_inspected = 0;
     std::vector<EventRef> out, ref_matches;
     for (const auto& [key, partition] : db.partitions()) {
-      inspected += ScanPartition(*partition, pattern, range, nullptr, false,
-                                 &out, &ctx_scan);
-      ReferenceScan ref =
-          Reference(*partition, pattern, range, nullptr, false, &ctx_ref);
+      inspected +=
+          ScanPartition(*partition, pattern, range, false, &out, &ctx_scan);
+      ReferenceScan ref = Reference(*partition, pattern, range, false, &ctx_ref);
       ref_inspected += ref.inspected;
       ref_matches.insert(ref_matches.end(), ref.matches.begin(),
                          ref.matches.end());
@@ -437,8 +409,8 @@ TEST(ScanKernelDifferentialTest, ExhaustedBudgetStopsScanUpFront) {
   ASSERT_FALSE(ctx.ChargeRows(10).ok());  // already violated
   std::vector<EventRef> out;
   for (const auto& [key, partition] : db.partitions()) {
-    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX},
-                  nullptr, false, &out, &ctx);
+    ScanPartition(*partition, pattern, TimeRange{INT64_MIN, INT64_MAX}, false,
+                  &out, &ctx);
   }
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(ctx.Check().code(), StatusCode::kResourceExhausted);

@@ -6,20 +6,26 @@
 // refused when forged (op counts, event counts, time bounds, op fences,
 // exe counts, summary length), mutated footers must decode cleanly or not
 // at all, and a segment must not reopen against a summary its own reverse
-// indexes do not rebuild.
+// indexes do not rebuild, nor with agent runs naming another agent than
+// its directory entry.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/varint.h"
 #include "storage/database.h"
 #include "storage/key_summary.h"
 #include "storage/partition.h"
+#include "storage/snapshot.h"
 #include "storage/snapshot_format.h"
 
 namespace aiql {
@@ -79,7 +85,7 @@ std::string CheckInvariants(const EventPartition& p,
   const EventColumns& cols = p.columns();
   if (cols.size() != n || cols.end_ts.size() != n ||
       cols.subject.size() != n || cols.object.size() != n ||
-      cols.agent_id.size() != n || cols.amount.size() != n ||
+      cols.amount.size() != n ||
       cols.merge_count.size() != n || cols.op.size() != n ||
       cols.object_type.size() != n) {
     return "column sizes";
@@ -87,6 +93,7 @@ std::string CheckInvariants(const EventPartition& p,
   uint64_t raw = 0;
   for (size_t i = 0; i < n; ++i) {
     const Event e = p.Row(i);
+    if (e.agent_id != p.agent_id()) return "agent";
     if (e.end_ts < e.start_ts) return "interval";
     if (i > 0 && (e.start_ts < p.Row(i - 1).start_ts ||
                   (e.start_ts == p.Row(i - 1).start_ts &&
@@ -245,6 +252,7 @@ class SegmentDecodeTest : public ::testing::Test {
     }
     EXPECT_EQ(CheckInvariants(decoded, store()), "") << what;
     // ... and agree with the directory entry it was checked against.
+    EXPECT_EQ(decoded.agent_id(), entry_.agent) << what;
     EXPECT_EQ(decoded.size(), entry_.events) << what;
     EXPECT_EQ(decoded.raw_event_count(), entry_.raw_events) << what;
     EXPECT_EQ(decoded.min_ts(), entry_.min_ts) << what;
@@ -253,6 +261,75 @@ class SegmentDecodeTest : public ::testing::Test {
       EXPECT_EQ(decoded.OpCount(static_cast<OpType>(op)), entry_.op_counts[op])
           << what;
     }
+  }
+
+  /// Offset of the agent runs in segment_: they follow the event count and
+  /// four columns of one varint per event.
+  size_t AgentRunsOffset() const {
+    snapfmt::Cursor cur(segment_);
+    const uint64_t n = cur.U64();
+    for (uint64_t i = 0; i < 4 * n; ++i) cur.U64();
+    EXPECT_TRUE(cur.ok());
+    return segment_.size() - cur.remaining();
+  }
+
+  /// segment_ with its agent runs, (agent 1, n events), replaced by `runs`.
+  std::string WithAgentRuns(const std::string& runs) const {
+    const size_t at = AgentRunsOffset();
+    std::string original;
+    PutVarint64(&original, entry_.agent);
+    PutVarint64(&original, partition_->size());
+    EXPECT_EQ(segment_.substr(at, original.size()), original);
+    return segment_.substr(0, at) + runs +
+           segment_.substr(at + original.size());
+  }
+
+  /// Writes a whole snapshot whose only partition segment is `segment`,
+  /// with every checksum computed over the bytes written, and reopens that
+  /// partition through a read view.
+  Status ReopenSnapshotWith(const std::string& segment) const {
+    std::string file;
+    snapfmt::EncodeHeader(&file);
+    snapfmt::FooterData footer;
+    footer.options = db_->options();
+    footer.stats = db_->stats();
+    std::string meta;
+    snapfmt::EncodeMetaSegment(store(), &meta);
+    footer.meta = snapfmt::SegmentRef{file.size(), meta.size(),
+                                      Checksum64(meta)};
+    file += meta;
+    const snapfmt::SegmentRef ref{file.size(), segment.size(),
+                                  Checksum64(segment)};
+    footer.partitions.push_back(snapfmt::MakeDirEntry(
+        entry_.bucket, entry_.agent, entry_.seq, ref, *partition_));
+    file += segment;
+    const uint64_t footer_offset = file.size();
+    std::string footer_bytes;
+    snapfmt::EncodeFooter(footer, &footer_bytes);
+    file += footer_bytes;
+    snapfmt::EncodeTrailer(footer_offset, Checksum64(footer_bytes), &file);
+
+    const std::string path = "/tmp/aiql_segment_decode_test_" +
+                             std::to_string(static_cast<long>(getpid()));
+    FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return Status::IOError("cannot write " + path);
+    EXPECT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+    Status status;
+    {
+      auto opened = SnapshotStore::Open(path);
+      if (!opened.ok()) {
+        status = opened.status();
+      } else {
+        ReadView view = (*opened)->OpenReadView();
+        status = view.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
+                                       std::nullopt, kAllOps)
+                     .status();
+      }
+    }
+    std::remove(path.c_str());
+    return status;
   }
 
   std::unique_ptr<AuditDatabase> db_;
@@ -265,8 +342,43 @@ TEST_F(SegmentDecodeTest, ValidSegmentDecodesWithEveryInvariant) {
   EventPartition decoded;
   ASSERT_TRUE(Decode(segment_, &decoded).ok());
   EXPECT_EQ(CheckInvariants(decoded, store()), "");
+  EXPECT_EQ(decoded.agent_id(), entry_.agent);
   EXPECT_EQ(decoded.size(), partition_->size());
   EXPECT_EQ(decoded.subject_exe_counts(), partition_->subject_exe_counts());
+  // The writer's own bytes reopen through a whole snapshot file.
+  EXPECT_TRUE(ReopenSnapshotWith(segment_).ok());
+}
+
+TEST_F(SegmentDecodeTest, AgentRunNamingAnotherAgentFailsReopen) {
+  std::string runs;
+  PutVarint64(&runs, entry_.agent + 1);
+  PutVarint64(&runs, partition_->size());
+  const Status status = ReopenSnapshotWith(WithAgentRuns(runs));
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("agent"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(SegmentDecodeTest, SecondAgentRunOfAnotherAgentFailsReopen) {
+  // Two runs that together cover every event: the first names the entry's
+  // agent, the second another one.
+  const uint64_t n = partition_->size();
+  std::string runs;
+  PutVarint64(&runs, entry_.agent);
+  PutVarint64(&runs, n / 2);
+  PutVarint64(&runs, entry_.agent + 1);
+  PutVarint64(&runs, n - n / 2);
+  const Status status = ReopenSnapshotWith(WithAgentRuns(runs));
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("agent"), std::string::npos)
+      << status.ToString();
+  // The same split with the entry's agent in both runs is well formed.
+  std::string same;
+  PutVarint64(&same, entry_.agent);
+  PutVarint64(&same, n / 2);
+  PutVarint64(&same, entry_.agent);
+  PutVarint64(&same, n - n / 2);
+  EXPECT_TRUE(ReopenSnapshotWith(WithAgentRuns(same)).ok());
 }
 
 /// A one-partition footer around the fixture's directory entry, and the
@@ -440,6 +552,19 @@ TEST_F(SegmentDecodeTest, SeededMutationsNeverCrash) {
     }
     ExpectCleanOutcome(bytes, "bit-flip case " + std::to_string(c));
   }
+  // Every bit of the agent runs (agent varint, run-length varint).
+  const size_t agent_at = AgentRunsOffset();
+  std::string agent_runs;
+  PutVarint64(&agent_runs, entry_.agent);
+  PutVarint64(&agent_runs, partition_->size());
+  for (size_t pos = agent_at; pos < agent_at + agent_runs.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = segment_;
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << bit));
+      ExpectCleanOutcome(bytes, "agent-run flip at " + std::to_string(pos) +
+                                    " bit " + std::to_string(bit));
+    }
+  }
   // Forged varints: a varint boundary (the byte after a terminating byte)
   // gets a varint of a hostile value spliced over the original one, or a
   // run of continuation bytes that never terminates within 10 bytes.
@@ -508,6 +633,12 @@ TEST_F(FooterDecodeTest, SeededMutationsNeverCrash) {
   auto expect_clean = [&](const std::string& bytes, const std::string& what) {
     snapfmt::FooterData decoded;
     Status status = Decode(bytes, &decoded);
+    if (status.code() == StatusCode::kInvalidArgument) {
+      // A changed options byte is refused as unsupported, not corrupt.
+      EXPECT_EQ(status.message(), "unpartitioned snapshots are unsupported")
+          << what;
+      return;
+    }
     if (!status.ok()) {
       EXPECT_EQ(status.code(), StatusCode::kCorruption)
           << what << ": " << status.ToString();

@@ -2,13 +2,15 @@
 // point and every single-bit flip must surface as a clean Status — never a
 // crash, never silently wrong data. Sections are targeted individually
 // (magic, version, META segment, partition segments, footer, trailer), and
-// a file with the retired v1 magic must be refused as unsupported.
+// a file with the retired v1 magic, or a footer whose options byte does not
+// say "partitioned", must be refused as unsupported.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "common/checksum.h"
 #include "engine/aiql_engine.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
@@ -233,6 +235,36 @@ TEST_F(SnapshotCorruptionTest, ForeignAndEmptyFilesAreRejected) {
 }
 
 // --- retired v1 format -------------------------------------------------------
+
+TEST_F(SnapshotCorruptionTest, UnpartitionedOptionsByteIsRefused) {
+  // The footer's options byte follows its two signed varints (partition
+  // duration, dedup window). Setting it to 0 with the footer checksum
+  // recomputed leaves a well-formed file that claims unpartitioned storage.
+  std::string bytes = *golden_;
+  const size_t trailer_at = bytes.size() - snapfmt::kV2TrailerSize;
+  const size_t footer_at = ReadLittleEndian64(bytes, trailer_at);
+  std::string footer = bytes.substr(footer_at, trailer_at - footer_at);
+  snapfmt::Cursor cur(footer);
+  cur.I64();
+  cur.I64();
+  ASSERT_TRUE(cur.ok());
+  const size_t options_at = footer.size() - cur.remaining();
+  ASSERT_EQ(footer[options_at], '\x01');
+  footer[options_at] = '\0';
+  bytes.replace(footer_at, footer.size(), footer);
+  std::string checksum;
+  snapfmt::PutFixed64(&checksum, Checksum64(footer));
+  bytes.replace(trailer_at + 8, 8, checksum);
+  WriteFile(*path_, bytes);
+
+  auto expect_refused = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(status.message(), "unpartitioned snapshots are unsupported");
+  };
+  expect_refused(SnapshotStore::Open(*path_).status());
+  expect_refused(TryLoad());
+}
 
 TEST(SnapshotV1RefusalTest, V1MagicIsRefusedAsUnsupported) {
   const std::string path = std::string("/tmp/aiql_snapshot_v1_refusal_") +

@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/database.h"
 #include "storage/key_summary.h"
@@ -162,15 +165,17 @@ TEST(PartitionTest, TimeAndAgentPartitioning) {
   db.Seal();
   EXPECT_EQ(db.stats().total_partitions, 6u);
 
+  ReadView view = db.OpenReadView();
   // Agent pruning.
-  auto only_agent1 =
-      db.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
-                          std::vector<AgentId>{1});
-  EXPECT_EQ(only_agent1.size(), 3u);
+  auto only_agent1 = view.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
+                                           std::vector<AgentId>{1}, kAllOps);
+  ASSERT_TRUE(only_agent1.ok());
+  EXPECT_EQ(only_agent1->size(), 3u);
   // Time pruning.
-  auto first_hour = db.SelectPartitions(
-      TimeRange{T0(), T0() + kHour}, std::nullopt);
-  EXPECT_EQ(first_hour.size(), 2u);
+  auto first_hour = view.SelectPartitions(TimeRange{T0(), T0() + kHour},
+                                          std::nullopt, kAllOps);
+  ASSERT_TRUE(first_hour.ok());
+  EXPECT_EQ(first_hour->size(), 2u);
 }
 
 TEST(PartitionTest, EventEndingAtTimelineEndKeepsItsPartition) {
@@ -188,9 +193,6 @@ TEST(PartitionTest, EventEndingAtTimelineEndKeepsItsPartition) {
                   .ok());
   ASSERT_TRUE(db.Seal().ok());
   const TimeRange day{T0(), T0() + kDay};
-  auto raw = db.SelectPartitions(day, std::nullopt);
-  ASSERT_EQ(raw.size(), 1u);
-  EXPECT_EQ(raw[0].second->size(), 2u);
   ReadView view = db.OpenReadView();
   auto selected = view.SelectPartitions(day, std::nullopt, kAllOps);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
@@ -296,18 +298,66 @@ TEST(PartitionTest, SelectionPrunesOnDirectoryStatistics) {
   std::remove(path.c_str());
 }
 
-TEST(PartitionTest, DisabledPartitioningUsesOneBucket) {
-  StorageOptions options;
-  options.enable_partitioning = false;
-  AuditDatabase db(options);
-  for (AgentId agent : {1u, 2u, 3u}) {
-    ASSERT_TRUE(db.Append(Rec(agent, OpType::kWrite,
-                              T0() + agent * 2 * kHour, 1, "a",
-                              FileRef{agent, "/f"}))
-                    .ok());
+
+TEST(PartitionTest, HostileAgentIdsSelectExactlyTheirPartitions) {
+  // Agents restrict a query only through partition selection, so ids at
+  // the top of the 32-bit range must select exactly their own partitions,
+  // from the live database and from persisted directories alike.
+  const std::vector<AgentId> agents = {1, 4000000000u, UINT32_MAX};
+  std::vector<EventRecord> records;
+  for (AgentId agent : agents) {
+    for (int hour = 0; hour < 2; ++hour) {
+      records.push_back(Rec(agent, OpType::kWrite, T0() + hour * kHour, 1,
+                            "a", FileRef{agent, "/f"}));
+    }
   }
-  db.Seal();
-  EXPECT_EQ(db.stats().total_partitions, 1u);
+  StorageOptions options;
+  options.dedup_window = 0;
+  AuditDatabase db(options);
+  ASSERT_TRUE(db.AppendBatch(records).ok());
+  ASSERT_TRUE(db.Seal().ok());
+  const std::string path = "/tmp/aiql_storage_test_hostile_agents_" +
+                           std::to_string(static_cast<long>(getpid()));
+  ASSERT_TRUE(SaveSnapshot(db, path).ok());
+  auto store = SnapshotStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  RetentionOptions retention;
+  retention.dir = path + ".tiered";
+  retention.hot_buckets = -1;
+  auto tiered = TieredStore::Create(options, retention);
+  ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+  ASSERT_TRUE((*tiered)->AppendBatch(records).ok());
+  ASSERT_TRUE((*tiered)->Seal().ok());
+  ASSERT_TRUE((*tiered)->CompactOnce().ok());
+  ASSERT_EQ((*tiered)->stats().cold_partitions, 6u);
+
+  const std::vector<AgentId> wanted = {4000000000u, UINT32_MAX};
+  const int64_t hour0 = T0() / kHour;
+  const std::vector<PartitionKey> expected = {
+      {hour0, 4000000000u}, {hour0, UINT32_MAX},
+      {hour0 + 1, 4000000000u}, {hour0 + 1, UINT32_MAX}};
+  std::vector<std::pair<const char*, ReadView>> backings;
+  backings.emplace_back("database", db.OpenReadView());
+  backings.emplace_back("snapshot", (*store)->OpenReadView());
+  backings.emplace_back("tiered", (*tiered)->OpenReadView());
+  for (const auto& [name, view] : backings) {
+    SCOPED_TRACE(name);
+    auto selected = view.SelectPartitions(TimeRange{INT64_MIN, INT64_MAX},
+                                          wanted, kAllOps);
+    ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+    std::vector<PartitionKey> keys;
+    for (const auto& [key, partition] : *selected) {
+      keys.push_back(key);
+      EXPECT_EQ(partition->agent_id(), key.agent_id);
+      ASSERT_EQ(partition->size(), 1u);
+      EXPECT_EQ(partition->Row(0).agent_id, key.agent_id);
+    }
+    EXPECT_EQ(keys, expected);
+  }
+  backings.clear();
+  tiered->reset();
+  std::filesystem::remove_all(retention.dir);
+  std::remove(path.c_str());
 }
 
 TEST(PartitionTest, SealedPartitionIsSortedAndSearchable) {
