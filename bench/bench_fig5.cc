@@ -11,7 +11,11 @@
 //
 //   $ ./build/bench/bench_fig5
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "common/table_printer.h"
@@ -26,6 +30,42 @@
 
 using namespace aiql;
 using namespace aiql_bench;
+
+namespace {
+
+template <typename Fn>
+double TimeMs(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Median of 5 timed runs after one warm-up. AIQL and Neo4j queries take
+/// about a millisecond or less each, so a single timing is mostly noise.
+template <typename Fn>
+double MedianMs(Fn&& fn) {
+  fn();
+  double runs[5];
+  for (double& run : runs) run = TimeMs(fn);
+  std::nth_element(runs, runs + 2, runs + 5);
+  return runs[2];
+}
+
+std::string FormatMs(double ms) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", ms);
+  return buf;
+}
+
+std::string Log10Text(double ms) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%.2f", std::log10(std::max(ms, 1e-3) / 1e3));
+  return buf;
+}
+
+}  // namespace
 
 int main() {
   ScenarioOptions options = BenchScenarioOptions();
@@ -57,15 +97,15 @@ int main() {
   GraphStore graph(&*raw);
   GraphExecutor graph_engine(&graph);
 
-  TablePrinter table({"query", "aiql (s)", "pg (s)", "neo4j (s)",
-                      "log10 aiql", "log10 pg", "log10 neo4j", "rows"});
-  int64_t aiql_total = 0, sql_total = 0, graph_total = 0;
+  TablePrinter table({"query", "aiql (ms)", "pg (ms)", "neo4j (ms)",
+                      "log10 aiql s", "log10 pg s", "log10 neo4j s", "rows"});
+  double aiql_total = 0, sql_total = 0, graph_total = 0;
   int graph_slower_than_pg = 0;
   bool mismatch = false;
 
   for (const CatalogQuery& query : AtcInvestigationQueries(data.truth)) {
     size_t aiql_rows = 0, sql_rows = 0, graph_rows = 0;
-    int64_t aiql_us = TimeUs([&] {
+    const double aiql_ms = MedianMs([&] {
       auto result = aiql_engine.Execute(query.text);
       if (result.ok()) aiql_rows = result->table.num_rows();
     });
@@ -77,38 +117,30 @@ int main() {
                    translated.status().ToString().c_str());
       return 1;
     }
-    int64_t sql_us = TimeUs([&] {
+    const double sql_ms = TimeMs([&] {
       auto result = sql_engine.Execute(translated->sql);
       if (result.ok()) sql_rows = result->table.num_rows();
     });
-    int64_t graph_us = TimeUs([&] {
+    const double graph_ms = MedianMs([&] {
       auto result = graph_engine.ExecuteAiql(query.text);
       if (result.ok()) graph_rows = result->table.num_rows();
     });
     if (sql_rows != aiql_rows || graph_rows != aiql_rows) mismatch = true;
-    if (graph_us > sql_us) ++graph_slower_than_pg;
+    if (graph_ms > sql_ms) ++graph_slower_than_pg;
 
-    aiql_total += aiql_us;
-    sql_total += sql_us;
-    graph_total += graph_us;
-    char la[16], lp[16], ln[16];
-    std::snprintf(la, sizeof(la), "%.2f", Log10Seconds(aiql_us));
-    std::snprintf(lp, sizeof(lp), "%.2f", Log10Seconds(sql_us));
-    std::snprintf(ln, sizeof(ln), "%.2f", Log10Seconds(graph_us));
-    table.AddRow({query.id, FormatSeconds(aiql_us), FormatSeconds(sql_us),
-                  FormatSeconds(graph_us), la, lp, ln,
-                  std::to_string(aiql_rows)});
+    aiql_total += aiql_ms;
+    sql_total += sql_ms;
+    graph_total += graph_ms;
+    table.AddRow({query.id, FormatMs(aiql_ms), FormatMs(sql_ms),
+                  FormatMs(graph_ms), Log10Text(aiql_ms), Log10Text(sql_ms),
+                  Log10Text(graph_ms), std::to_string(aiql_rows)});
   }
 
   std::printf("%s", table.ToString().c_str());
-  double aiql_s = static_cast<double>(aiql_total) / 1e6;
-  std::printf("\ntotals: AIQL %.2f s | PostgreSQL %.2f s (%.0fx) | "
-              "Neo4j %.2f s (%.0fx)\n",
-              aiql_s, static_cast<double>(sql_total) / 1e6,
-              static_cast<double>(sql_total) / (aiql_total > 0 ? aiql_total : 1),
-              static_cast<double>(graph_total) / 1e6,
-              static_cast<double>(graph_total) /
-                  (aiql_total > 0 ? aiql_total : 1));
+  std::printf("\ntotals: AIQL %.3f ms | PostgreSQL %.1f ms (%.1fx) | "
+              "Neo4j %.1f ms (%.1fx)\n",
+              aiql_total, sql_total, sql_total / aiql_total, graph_total,
+              graph_total / aiql_total);
   std::printf("paper: 124x (PostgreSQL), 157x (Neo4j); Neo4j generally "
               "slower than PostgreSQL\n");
   std::printf("Neo4j slower than PostgreSQL on %d of 26 queries\n",

@@ -17,10 +17,11 @@ void GraphStore::AddEdge(const Event& event) {
   edges_.push_back(edge);
 }
 
-GraphStore::GraphStore(const AuditDatabase* db) : entities_(&db->entities()) {
-  // The edges copy every event out of one read view; the view holds the
-  // database's state lock only while they are copied.
+GraphStore::GraphStore(const AuditDatabase* db) {
+  // The node bases and the edges come from one read view; the view holds
+  // the database's state lock only while they are copied.
   ReadView view = db->OpenReadView();
+  entities_ = &view.entities();
   const EntityStore& es = *entities_;
   file_base_ = static_cast<NodeId>(es.processes().size());
   net_base_ = file_base_ + static_cast<NodeId>(es.files().size());

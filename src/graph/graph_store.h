@@ -38,7 +38,13 @@ struct GraphEdge {
 /// tracking result.
 class GraphStore {
  public:
-  /// Builds the full graph of a sealed database.
+  /// Builds the full graph of a database's sealed partitions. The node
+  /// bases (entity counts) and the edges are copied out of one read view,
+  /// so they agree with each other even while a writer ingests. Traversal
+  /// still reads `entities()` afterwards, outside any view (pattern
+  /// compilation, attribute lookups, projection), so while the graph is
+  /// queried the caller must not ingest into `db`: interning a new entity
+  /// may grow the tables those reads index.
   explicit GraphStore(const AuditDatabase* db);
 
   /// Builds the dependency subgraph a provenance track recovered. Only the

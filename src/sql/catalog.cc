@@ -39,7 +39,10 @@ Result<std::vector<std::string>> OptimizedCatalog::GetSchema(
 Status OptimizedCatalog::Scan(
     const std::string& table, const ScanHints& hints,
     const std::function<void(std::vector<SqlValue>&&)>& fn) const {
-  const EntityStore& es = db_->entities();
+  // Every table reads through one view: it holds the store's state lock,
+  // so a writer cannot intern entities (growing the tables) mid-scan.
+  ReadView view = db_->OpenReadView();
+  const EntityStore& es = view.entities();
   if (table == "process") {
     for (EntityId id = 0; id < es.processes().size(); ++id) {
       const ProcessEntity& p = es.processes()[id];
@@ -75,7 +78,6 @@ Status OptimizedCatalog::Scan(
   }
   if (table == "events") {
     // Partition pruning from hints (PostgreSQL constraint exclusion).
-    ReadView view = db_->OpenReadView();
     AIQL_ASSIGN_OR_RETURN(
         auto partitions,
         view.SelectPartitions(hints.time, hints.agents, kAllOps));
@@ -99,7 +101,7 @@ Status OptimizedCatalog::Scan(
 }
 
 FlatCatalog::FlatCatalog(const AuditDatabase* db) : db_(db) {
-  num_rows_ = db->stats().total_events;
+  num_rows_ = db->OpenReadView().stats().total_events;
 }
 
 Result<std::vector<std::string>> FlatCatalog::GetSchema(

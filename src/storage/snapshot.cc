@@ -218,7 +218,9 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
   uint32_t version = GetFixed32(header + 8);
   if (version != kV2Version) {
     return Status::Corruption("snapshot format version " +
-                              std::to_string(version) + " unsupported");
+                              std::to_string(version) +
+                              " unsupported (expected version " +
+                              std::to_string(kV2Version) + ")");
   }
 
   if (Seek64(file.get(), 0, SEEK_END) != 0) {

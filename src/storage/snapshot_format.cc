@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bitpack.h"
 #include "common/varint.h"
 #include "storage/entity_store.h"
 #include "storage/key_summary.h"
@@ -111,22 +112,31 @@ void PutDictionary(std::string* out, const StringInterner& interner) {
   });
 }
 
+/// A reverse entity index as four packed streams: the key deltas (the
+/// first key itself, then strictly positive steps), the group sizes, each
+/// group's first event index, and the in-group event deltas of every group
+/// in key order. First events are absolute indexes, so their own stream
+/// keeps them from widening the blocks of small in-group steps.
 void EncodeEntityIndex(std::string* out, const EntityPostingIndex& index) {
-  PutVarint64(out, index.keys.size());
-  uint64_t prev_key = 0;
-  for (size_t k = 0; k < index.keys.size(); ++k) {
-    PutVarint64(out, k == 0 ? index.keys[0] : index.keys[k] - prev_key);
-    prev_key = index.keys[k];
-    uint32_t begin = index.offsets[k];
-    uint32_t end = index.offsets[k + 1];
-    PutVarint64(out, end - begin);
-    uint32_t prev_index = 0;
-    for (uint32_t i = begin; i < end; ++i) {
-      PutVarint64(out, i == begin ? index.indexes[i]
-                                  : index.indexes[i] - prev_index);
-      prev_index = index.indexes[i];
+  const std::vector<uint64_t>& keys = index.keys;
+  const std::vector<uint32_t>& offsets = index.offsets;
+  const std::vector<uint32_t>& events = index.indexes;
+  const size_t num_keys = keys.size();
+  PutVarint64(out, num_keys);
+  bitpack::Put(out, num_keys, [&](size_t k) {
+    return k == 0 ? keys[0] : keys[k] - keys[k - 1];
+  });
+  bitpack::Put(out, num_keys,
+               [&](size_t k) { return offsets[k + 1] - offsets[k]; });
+  bitpack::Put(out, num_keys, [&](size_t k) { return events[offsets[k]]; });
+  std::vector<uint32_t> steps;
+  steps.reserve(events.size() - num_keys);
+  for (size_t k = 0; k < num_keys; ++k) {
+    for (uint32_t i = offsets[k] + 1; i < offsets[k + 1]; ++i) {
+      steps.push_back(events[i] - events[i - 1]);
     }
   }
+  bitpack::Put(out, steps.size(), [&](size_t i) { return steps[i]; });
 }
 
 /// The footer's options byte, kept so files stay byte-identical: every
@@ -251,32 +261,27 @@ void EncodePartitionSegment(const EventPartition& partition,
   const size_t n = cols.size();
   PutVarint64(out, n);
 
-  // start_ts: first value zigzag, then non-negative deltas.
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0) {
-      PutVarintSigned(out, cols.start_ts[0]);
-    } else {
-      PutVarint64(out, static_cast<uint64_t>(cols.start_ts[i]) -
-                           static_cast<uint64_t>(cols.start_ts[i - 1]));
-    }
-  }
+  // start_ts: first value zigzag, then the n - 1 non-negative deltas.
+  if (n > 0) PutVarintSigned(out, cols.start_ts[0]);
+  bitpack::Put(out, n > 0 ? n - 1 : 0, [&](size_t i) {
+    return static_cast<uint64_t>(cols.start_ts[i + 1]) -
+           static_cast<uint64_t>(cols.start_ts[i]);
+  });
   // Durations (end - start >= 0 by ingest validation).
-  for (size_t i = 0; i < n; ++i) {
-    PutVarint64(out, static_cast<uint64_t>(cols.end_ts[i]) -
-                         static_cast<uint64_t>(cols.start_ts[i]));
-  }
-  for (EntityId id : cols.subject) PutVarint64(out, id);
-  for (EntityId id : cols.object) PutVarint64(out, id);
+  bitpack::Put(out, n, [&](size_t i) {
+    return static_cast<uint64_t>(cols.end_ts[i]) -
+           static_cast<uint64_t>(cols.start_ts[i]);
+  });
+  bitpack::Put(out, n, [&](size_t i) { return cols.subject[i]; });
+  bitpack::Put(out, n, [&](size_t i) { return cols.object[i]; });
   // agent_id: one RLE run (agent, n) of the partition's agent. The decoder
   // requires every run to name the directory entry's agent.
   if (n > 0) {
     PutVarint64(out, partition.agent_id());
     PutVarint64(out, n);
   }
-  for (uint64_t amount : cols.amount) PutVarint64(out, amount);
-  for (uint32_t merge_count : cols.merge_count) {
-    PutVarint64(out, merge_count);
-  }
+  bitpack::Put(out, n, [&](size_t i) { return cols.amount[i]; });
+  bitpack::Put(out, n, [&](size_t i) { return cols.merge_count[i]; });
   // object_type: RLE.
   for (size_t i = 0; i < n;) {
     size_t run = i + 1;
@@ -286,22 +291,20 @@ void EncodePartitionSegment(const EventPartition& partition,
     i = run;
   }
 
-  // Posting lists (ascending event indexes, delta-encoded). Together they
-  // cover every index exactly once, which also encodes the op column.
+  // Posting lists (ascending event indexes, delta-packed; the first delta
+  // is the first index). Together they cover every index exactly once,
+  // which also encodes the op column.
   for (int op = 0; op < kNumOpTypes; ++op) {
-    const OpPostingList& list = partition.posting(static_cast<OpType>(op));
-    PutVarint64(out, list.indexes.size());
-    uint32_t prev_index = 0;
-    for (size_t i = 0; i < list.indexes.size(); ++i) {
-      PutVarint64(out, i == 0 ? list.indexes[0]
-                              : list.indexes[i] - prev_index);
-      prev_index = list.indexes[i];
-    }
+    const std::vector<uint32_t>& indexes =
+        partition.posting(static_cast<OpType>(op)).indexes;
+    PutVarint64(out, indexes.size());
+    bitpack::Put(out, indexes.size(), [&](size_t i) {
+      return i == 0 ? indexes[0] : indexes[i] - indexes[i - 1];
+    });
   }
 
-  // Reverse entity indexes (v2 format version 3): CSR groups of ascending
-  // event indexes keyed by strictly ascending entity keys — keys and
-  // in-group indexes both delta-encode into small varints.
+  // Reverse entity indexes: CSR groups of ascending event indexes keyed by
+  // strictly ascending entity keys.
   EncodeEntityIndex(out, partition.subject_index());
   EncodeEntityIndex(out, partition.object_index());
 }
@@ -403,39 +406,89 @@ Status DecodeEntityIndex(Cursor* cur, size_t n, const KeyOf& key_of,
   };
   uint64_t num_keys = cur->U64();
   if (!cur->ok() || num_keys > n) return corrupt();
-  index->keys.resize(static_cast<size_t>(num_keys));
-  index->offsets.resize(static_cast<size_t>(num_keys) + 1);
+  const size_t num = static_cast<size_t>(num_keys);
+  index->keys.resize(num);
+  index->offsets.resize(num + 1);
   index->indexes.resize(n);
+  uint64_t* keys = index->keys.data();
+  uint32_t* offsets = index->offsets.data();
   uint32_t* out = index->indexes.data();
   uint64_t key = 0;
-  size_t total = 0;
-  for (size_t k = 0; k < num_keys; ++k) {
-    uint64_t delta = cur->U64();
-    if (k > 0 && (delta == 0 || delta > UINT64_MAX - key)) return corrupt();
-    key += delta;
-    uint64_t count = cur->U64();
-    if (count == 0 || count > n - total) return corrupt();
-    index->keys[k] = key;
-    index->offsets[k] = static_cast<uint32_t>(total);
-    uint64_t event = cur->U64();
-    if (event >= n || key_of(event) != key) return corrupt();
-    out[total] = static_cast<uint32_t>(event);
-    for (uint64_t i = 1; i < count; ++i) {
-      uint64_t d = cur->U64();
-      if (d == 0 || d >= n - event) return corrupt();
-      event += d;
-      if (key_of(event) != key) return corrupt();
-      out[total + i] = static_cast<uint32_t>(event);
-    }
-    total += static_cast<size_t>(count);
+  if (!cur->Packed(num, [&](const uint64_t* deltas, size_t m, size_t first) {
+        for (size_t i = 0; i < m; ++i) {
+          const uint64_t delta = deltas[i];
+          if (first + i > 0 && (delta == 0 || delta > UINT64_MAX - key)) {
+            return false;
+          }
+          key += delta;
+          keys[first + i] = key;
+        }
+        return true;
+      })) {
+    return corrupt();
   }
-  if (!cur->ok()) return corrupt();
-  index->offsets[num_keys] = static_cast<uint32_t>(total);
+  size_t total = 0;
+  if (!cur->Packed(num, [&](const uint64_t* sizes, size_t m, size_t first) {
+        for (size_t i = 0; i < m; ++i) {
+          if (sizes[i] == 0 || sizes[i] > n - total) return false;
+          offsets[first + i] = static_cast<uint32_t>(total);
+          total += static_cast<size_t>(sizes[i]);
+        }
+        return true;
+      })) {
+    return corrupt();
+  }
+  offsets[num] = static_cast<uint32_t>(total);
   if (total != n) {
     return Status::Corruption(std::string("partition ") + what +
                               " index does not cover every event");
   }
+  if (!cur->Packed(num, [&](const uint64_t* events, size_t m, size_t first) {
+        for (size_t i = 0; i < m; ++i) {
+          const size_t k = first + i;
+          if (events[i] >= n || key_of(events[i]) != keys[k]) return false;
+          out[offsets[k]] = static_cast<uint32_t>(events[i]);
+        }
+        return true;
+      })) {
+    return corrupt();
+  }
+  // In-group steps fill every slot but the groups' first ones, in order:
+  // the groups total n, so the n - num steps end at the last slot.
+  size_t k = 0;
+  size_t slot = 0;
+  if (!cur->Packed(n - num, [&](const uint64_t* steps, size_t m, size_t) {
+        for (size_t i = 0; i < m; ++i) {
+          ++slot;
+          while (slot == offsets[k + 1]) {
+            ++k;
+            ++slot;
+          }
+          const uint64_t previous = out[slot - 1];
+          if (steps[i] == 0 || steps[i] >= n - previous) return false;
+          const uint64_t event = previous + steps[i];
+          if (key_of(event) != keys[k]) return false;
+          out[slot] = static_cast<uint32_t>(event);
+        }
+        return true;
+      })) {
+    return corrupt();
+  }
   return Status::OK();
+}
+
+/// Fills `column[0, count)` from one packed stream with `convert(value,
+/// row)` per value; false on a malformed stream.
+template <typename T, typename Convert>
+bool UnpackColumn(Cursor* cur, T* column, size_t count,
+                  const Convert& convert) {
+  return cur->Packed(count,
+                     [&](const uint64_t* values, size_t m, size_t first) {
+                       for (size_t i = 0; i < m; ++i) {
+                         column[first + i] = convert(values[i], first + i);
+                       }
+                       return true;
+                     });
 }
 
 /// Decodes a run-length column ((value, run) pairs covering `n` rows) into
@@ -679,6 +732,11 @@ Status DecodeMetaSegment(std::string_view bytes, EntityStore* store) {
   return Status::OK();
 }
 
+/// The value columns are five packed streams of n values each, and a
+/// packed block of 128 values takes at least two bytes (a one-byte base and
+/// a zero width), so a segment holds fewer than 13 events per byte.
+constexpr uint64_t kMaxEventsPerSegmentByte = 16;
+
 Status DecodePartitionSegment(std::string_view bytes,
                               const PartitionDirEntry& entry,
                               const EntityStore& store,
@@ -688,7 +746,8 @@ Status DecodePartitionSegment(std::string_view bytes,
   // at the end, which checks every event once.
   Cursor cur(bytes);
   uint64_t n64 = cur.U64();
-  if (!cur.ok() || n64 != entry.events || n64 > bytes.size()) {
+  if (!cur.ok() || n64 != entry.events ||
+      n64 / kMaxEventsPerSegmentByte > bytes.size()) {
     return Status::Corruption("partition segment event count mismatch");
   }
   const size_t n = static_cast<size_t>(n64);
@@ -699,30 +758,28 @@ Status DecodePartitionSegment(std::string_view bytes,
   if (n > 0) {
     uint64_t start = static_cast<uint64_t>(cur.I64());
     cols.start_ts[0] = static_cast<Timestamp>(start);
-    for (size_t i = 1; i < n; ++i) {
-      start += cur.U64();
-      cols.start_ts[i] = static_cast<Timestamp>(start);
-    }
+    UnpackColumn(&cur, cols.start_ts.data() + 1, n - 1,
+                 [&](uint64_t delta, size_t) {
+                   start += delta;
+                   return static_cast<Timestamp>(start);
+                 });
   }
   cols.end_ts.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    cols.end_ts[i] = static_cast<Timestamp>(
-        static_cast<uint64_t>(cols.start_ts[i]) + cur.U64());
-  }
+  UnpackColumn(&cur, cols.end_ts.data(), n,
+               [&](uint64_t duration, size_t i) {
+                 return static_cast<Timestamp>(
+                     static_cast<uint64_t>(cols.start_ts[i]) + duration);
+               });
   // Entity ids are 32-bit; OR-ing the raw values exposes any wider one.
   uint64_t id_bits = 0;
+  auto entity_id = [&](uint64_t id, size_t) {
+    id_bits |= id;
+    return static_cast<EntityId>(id);
+  };
   cols.subject.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t id = cur.U64();
-    id_bits |= id;
-    cols.subject[i] = static_cast<EntityId>(id);
-  }
+  UnpackColumn(&cur, cols.subject.data(), n, entity_id);
   cols.object.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t id = cur.U64();
-    id_bits |= id;
-    cols.object[i] = static_cast<EntityId>(id);
-  }
+  UnpackColumn(&cur, cols.object.data(), n, entity_id);
   if (id_bits > UINT32_MAX) {
     return Status::Corruption("partition references unknown entities");
   }
@@ -738,14 +795,19 @@ Status DecodePartitionSegment(std::string_view bytes,
   }
   parts.agent = entry.agent;
   cols.amount.resize(n);
-  for (size_t i = 0; i < n; ++i) cols.amount[i] = cur.U64();
+  UnpackColumn(&cur, cols.amount.data(), n,
+               [](uint64_t amount, size_t) { return amount; });
+  // Merge counts lie in [1, 2^32): count - 1 wraps a zero past the bound.
+  uint64_t merge_out_of_range = 0;
   cols.merge_count.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t merge_count = cur.U64();
-    if (merge_count == 0 || merge_count > UINT32_MAX) {
-      return Status::Corruption("partition merge counts corrupt");
-    }
-    cols.merge_count[i] = static_cast<uint32_t>(merge_count);
+  UnpackColumn(&cur, cols.merge_count.data(), n,
+               [&](uint64_t count, size_t) {
+                 merge_out_of_range |=
+                     static_cast<uint64_t>(count - 1 >= UINT32_MAX);
+                 return static_cast<uint32_t>(count);
+               });
+  if (merge_out_of_range != 0) {
+    return Status::Corruption("partition merge counts corrupt");
   }
   bool types_ok = DecodeRuns(&cur, n,
                              [&](EntityType* type) {
@@ -776,17 +838,18 @@ Status DecodePartitionSegment(std::string_view bytes,
     // The first delta is the first index itself. A zero delta later on
     // repeats an index, which the taken-slot check refuses.
     uint64_t index = 0;
-    for (size_t i = 0; i < count; ++i) {
-      uint64_t d = cur.U64();
-      if (d >= n - index) {
-        return Status::Corruption("partition posting lists corrupt");
-      }
-      index += d;
-      if (cols.op[index] != kNoOp) {
-        return Status::Corruption("partition posting lists corrupt");
-      }
-      cols.op[index] = static_cast<OpType>(op);
-      list.indexes[i] = static_cast<uint32_t>(index);
+    if (!cur.Packed(count, [&](const uint64_t* deltas, size_t m,
+                               size_t first) {
+          for (size_t i = 0; i < m; ++i) {
+            if (deltas[i] >= n - index) return false;
+            index += deltas[i];
+            if (cols.op[index] != kNoOp) return false;
+            cols.op[index] = static_cast<OpType>(op);
+            list.indexes[first + i] = static_cast<uint32_t>(index);
+          }
+          return true;
+        })) {
+      return Status::Corruption("partition posting lists corrupt");
     }
     if (count > 0) {
       list.min_start_ts = cols.start_ts[list.indexes.front()];
@@ -794,7 +857,6 @@ Status DecodePartitionSegment(std::string_view bytes,
     }
     total_postings += count;
   }
-  if (!cur.ok()) return Status::Corruption("partition posting lists corrupt");
   if (total_postings != n) {
     return Status::Corruption("partition posting lists do not cover events");
   }

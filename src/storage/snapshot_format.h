@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitpack.h"
 #include "common/status.h"
 #include "storage/database.h"
 
@@ -39,9 +40,12 @@ inline constexpr uint64_t kV2Magic = 0x4149514C534E5032ULL;  // "AIQLSNP2"
 // checksum from FNV-1a64 to XXH64. Version 5 moved the subject-exe counts
 // from the segments into the footer directory and added each op's start
 // fence and an entity summary there, so selection and estimation run on
-// the directory alone. Readers refuse any other version, so an older file
-// is reported, never misread.
-inline constexpr uint32_t kV2Version = 5;
+// the directory alone. Version 6 stores the partition segment's integer
+// streams (value columns, posting lists, reverse indexes) bit-packed in
+// frame-of-reference blocks (common/bitpack.h) instead of as varints.
+// Readers refuse any other version, so an older file is reported, never
+// misread.
+inline constexpr uint32_t kV2Version = 6;
 inline constexpr size_t kV2HeaderSize = 8 + 4;   // magic + version
 inline constexpr size_t kV2TrailerSize = 8 * 3;  // footer off + cksum + magic
 
@@ -95,6 +99,19 @@ class Cursor {
   }
   int64_t I64();
   uint8_t Byte();
+  /// A bit-packed stream of `count` values (common/bitpack.h), handed to
+  /// `sink(values, m, first)` one block at a time. Returns false, failing
+  /// sticky, on a malformed stream or when the sink refuses a block.
+  template <typename Sink>
+  bool Packed(size_t count, Sink&& sink) {
+    const char* next = ok_ ? bitpack::Get(p_, limit_, count, sink) : nullptr;
+    if (next == nullptr) {
+      Fail();
+      return false;
+    }
+    p_ = next;
+    return true;
+  }
   /// A `n`-byte string view into the section (valid while it stays alive).
   std::string_view Bytes(size_t n);
 
@@ -182,7 +199,8 @@ void EncodeHeader(std::string* out);
 /// tables referencing them by varint id.
 void EncodeMetaSegment(const EntityStore& entities, std::string* out);
 
-/// PARTITION segment: columnar event encoding plus the seal artifacts.
+/// PARTITION segment: columnar event encoding plus the seal artifacts, its
+/// integer streams bit-packed.
 void EncodePartitionSegment(const EventPartition& partition, std::string* out);
 
 /// Footer directory bytes (options, stats, META ref, partition directory) —

@@ -1,13 +1,14 @@
 // Direct tests of the snapshot v2 partition-segment and footer decoders:
 // seeded mutations of a valid segment (bit flips, truncations, forged
-// varints) must each yield either a clean Status or a partition whose seal
-// invariants all hold — never a crash. The footer directory's statistics,
-// which partition selection trusts without decoding a segment, must be
-// refused when forged (op counts, event counts, time bounds, op fences,
-// exe counts, summary length), mutated footers must decode cleanly or not
-// at all, and a segment must not reopen against a summary its own reverse
-// indexes do not rebuild, nor with agent runs naming another agent than
-// its directory entry.
+// varints, forged bases and widths of every bit-packed block) must each
+// yield either a clean Status or a partition whose seal invariants all
+// hold — never a crash. The footer directory's statistics, which partition
+// selection trusts without decoding a segment, must be refused when forged
+// (op counts, event counts, time bounds, op fences, exe counts, summary
+// length), mutated footers must decode cleanly or not at all, and a
+// segment must not reopen against a summary its own reverse indexes do not
+// rebuild, nor with agent runs naming another agent than its directory
+// entry.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitpack.h"
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "common/varint.h"
@@ -263,15 +265,70 @@ class SegmentDecodeTest : public ::testing::Test {
     }
   }
 
-  /// Offset of the agent runs in segment_: they follow the event count and
-  /// four columns of one varint per event.
-  size_t AgentRunsOffset() const {
-    snapfmt::Cursor cur(segment_);
-    const uint64_t n = cur.U64();
-    for (uint64_t i = 0; i < 4 * n; ++i) cur.U64();
-    EXPECT_TRUE(cur.ok());
-    return segment_.size() - cur.remaining();
+  /// Where a packed block (common/bitpack.h) of segment_ sits: its base
+  /// varint at `base`, its width byte at `width`.
+  struct BlockAt {
+    size_t base = 0;
+    size_t width = 0;
+  };
+  struct Layout {
+    size_t agent_runs = 0;
+    std::vector<BlockAt> blocks;
+  };
+
+  /// Walks segment_'s v6 layout: the event count, the first start, four
+  /// packed columns (start deltas, durations, subjects, objects), the agent
+  /// runs, two more (amounts, merge counts), the object-type runs, nine
+  /// (count, packed deltas) posting lists, and two reverse indexes of a
+  /// key count and four packed streams each.
+  Layout Walk() const {
+    Layout layout;
+    const char* begin = segment_.data();
+    const char* end = begin + segment_.size();
+    const char* p = begin;
+    auto varint = [&] {
+      uint64_t v = 0;
+      p = GetVarint64(p, end, &v);
+      EXPECT_NE(p, nullptr);
+      return v;
+    };
+    auto packed = [&](uint64_t count) {
+      for (uint64_t first = 0; first < count; first += bitpack::kBlockSize) {
+        const size_t m = static_cast<size_t>(
+            std::min<uint64_t>(bitpack::kBlockSize, count - first));
+        BlockAt block;
+        block.base = static_cast<size_t>(p - begin);
+        varint();
+        block.width = static_cast<size_t>(p - begin);
+        const unsigned width = static_cast<uint8_t>(*p++);
+        p += bitpack::PayloadBytes(m, width);
+        layout.blocks.push_back(block);
+      }
+    };
+    const uint64_t n = varint();
+    varint();
+    packed(n - 1);
+    for (int column = 0; column < 3; ++column) packed(n);
+    layout.agent_runs = static_cast<size_t>(p - begin);
+    varint();
+    varint();
+    packed(n);
+    packed(n);
+    for (uint64_t covered = 0; covered < n;) {
+      ++p;  // object type byte
+      covered += varint();
+    }
+    for (int op = 0; op < kNumOpTypes; ++op) packed(varint());
+    for (int index = 0; index < 2; ++index) {
+      const uint64_t keys = varint();
+      for (int stream = 0; stream < 3; ++stream) packed(keys);
+      packed(n - keys);
+    }
+    EXPECT_EQ(p, end);
+    return layout;
   }
+
+  size_t AgentRunsOffset() const { return Walk().agent_runs; }
 
   /// segment_ with its agent runs, (agent 1, n events), replaced by `runs`.
   std::string WithAgentRuns(const std::string& runs) const {
@@ -594,6 +651,49 @@ TEST_F(SegmentDecodeTest, SeededMutationsNeverCrash) {
         segment_.substr(0, start) + forged + segment_.substr(end);
     ExpectCleanOutcome(bytes, "forged varint case " + std::to_string(c) +
                                   " at " + std::to_string(start));
+  }
+}
+
+TEST_F(SegmentDecodeTest, ForgedBlockBasesAndWidthsNeverCrash) {
+  // Every packed block of every stream gets hostile bases spliced over its
+  // base varint and hostile widths written over its width byte.
+  const Layout layout = Walk();
+  ASSERT_GT(layout.blocks.size(), 20u);
+  const uint64_t n = partition_->size();
+  for (size_t b = 0; b < layout.blocks.size(); ++b) {
+    const BlockAt& block = layout.blocks[b];
+    uint64_t base = 0;
+    ASSERT_NE(GetVarint64(segment_.data() + block.base,
+                          segment_.data() + segment_.size(), &base),
+              nullptr);
+    const uint64_t bases[] = {0,          1,          base - 1,
+                              base + 1,   n - 1,      n,
+                              n + 1,      UINT32_MAX, 1ull << 32,
+                              1ull << 63, UINT64_MAX - 1, UINT64_MAX};
+    for (uint64_t forged_base : bases) {
+      std::string forged;
+      PutVarint64(&forged, forged_base);
+      ExpectCleanOutcome(segment_.substr(0, block.base) + forged +
+                             segment_.substr(block.width),
+                         "block " + std::to_string(b) + " base " +
+                             std::to_string(forged_base));
+    }
+    const unsigned width = static_cast<uint8_t>(segment_[block.width]);
+    const unsigned widths[] = {0,  1,  width - 1, width + 1, 31, 32, 56,
+                               57, 63, 64,        65,        128, 255};
+    for (unsigned forged_width : widths) {
+      if (forged_width > 255) continue;
+      std::string bytes = segment_;
+      bytes[block.width] = static_cast<char>(forged_width);
+      const std::string what = "block " + std::to_string(b) + " width " +
+                               std::to_string(forged_width);
+      ExpectCleanOutcome(bytes, what);
+      if (forged_width > bitpack::kMaxWidth) {
+        EventPartition decoded;
+        EXPECT_EQ(Decode(bytes, &decoded).code(), StatusCode::kCorruption)
+            << what;
+      }
+    }
   }
 }
 

@@ -339,9 +339,9 @@ TEST_F(SnapshotAppendTest, OtherFormatVersionWithCommitsIsRefusedUntouched) {
                     ->Commit(db.options(), db.stats(), db.entities(), entries)
                     .ok());
   }
-  // Rewrite the header's format version to the previous one, as an older
-  // build wrote it.
-  const uint32_t previous = snapfmt::kV2Version - 1;
+  // Rewrite the header's format version to 5, as a build writing varint
+  // segment streams did.
+  const uint32_t previous = 5;
   const std::string data_path = dir_ + "/DATA";
   {
     FILE* f = fopen(data_path.c_str(), "r+b");

@@ -148,17 +148,20 @@ TEST_F(SnapshotCorruptionTest, HeaderMagicAndVersionAreChecked) {
   WriteFile(*path_, corrupt);
   EXPECT_EQ(TryLoad().code(), StatusCode::kCorruption);
 
-  // A file of the previous format version (its directory lacks the
-  // statistics selection now reads) is refused by name, never misread.
+  // A version 5 file (its segments hold varint streams, not the packed
+  // blocks of version 6) is refused by name, never misread.
   corrupt = *golden_;
-  corrupt[8] = static_cast<char>(snapfmt::kV2Version - 1);
+  corrupt[8] = 5;
   WriteFile(*path_, corrupt);
   Status previous = SnapshotStore::Open(*path_).status();
   EXPECT_EQ(previous.code(), StatusCode::kCorruption);
+  EXPECT_NE(previous.message().find("version 5"), std::string::npos)
+      << previous.ToString();
   EXPECT_NE(previous.message().find(
-                "version " + std::to_string(snapfmt::kV2Version - 1)),
+                "expected version " + std::to_string(snapfmt::kV2Version)),
             std::string::npos)
       << previous.ToString();
+  EXPECT_EQ(TryLoad().code(), StatusCode::kCorruption);
 }
 
 TEST_F(SnapshotCorruptionTest, TrailerDamageIsDetected) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <string>
+#include <thread>
+
 #include "engine/aiql_engine.h"
 #include "query/parser.h"
 #include "sql/catalog.h"
@@ -166,6 +171,54 @@ TEST_F(SqlTest, FlatCatalogHasDenormalizedRows) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->table.num_rows(), 1u);
   EXPECT_EQ(ValueToString(result->table.rows[0][0]), "sbblv.exe");
+}
+
+TEST_F(SqlTest, ProcessScanRacesAWriterInterningProcesses) {
+  // A writer thread interns new processes while the baseline scans the
+  // process table: each scan reads one view, so it sees a prefix of the
+  // table, ids dense from 0, with every row's strings intact. TSan reports
+  // a scan that reads the table outside the view's lock.
+  constexpr int kNewProcesses = 5000;
+  constexpr int kMaxPasses = 100;
+  AuditDatabase db;
+  const OptimizedCatalog optimized(&db);
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    const Timestamp t = T0() + 10 * kHour;
+    for (int i = 0; i < kNewProcesses; ++i) {
+      ProcessRef proc{7, static_cast<uint32_t>(5000 + i),
+                      "new" + std::to_string(i) + ".exe", "bob"};
+      EXPECT_TRUE(db.Append(MakeEvent(7, OpType::kStart, t + i * kSecond,
+                                      proc, FileRef{7, "/tmp/x"}))
+                      .ok());
+      if (i % 8 == 0) {
+        EXPECT_TRUE(db.Flush().ok());
+      }
+    }
+    EXPECT_TRUE(db.Flush().ok());
+    writer_done = true;
+  });
+  auto scan = [&](const std::function<void(std::vector<SqlValue>&&)>& fn) {
+    EXPECT_TRUE(optimized.Scan("process", ScanHints{}, fn).ok());
+  };
+  size_t last = 0;
+  for (int pass = 0; pass < kMaxPasses && !writer_done; ++pass) {
+    int64_t next_id = 0;
+    bool rows_ok = true;
+    scan([&](std::vector<SqlValue>&& row) {
+      const std::string& exe = std::get<std::string>(row[3]);
+      rows_ok = rows_ok && std::get<int64_t>(row[0]) == next_id &&
+                exe.find(".exe") != std::string::npos;
+      ++next_id;
+    });
+    EXPECT_TRUE(rows_ok) << "pass " << pass;
+    EXPECT_GE(static_cast<size_t>(next_id), last) << "pass " << pass;
+    last = static_cast<size_t>(next_id);
+  }
+  writer.join();
+  size_t rows = 0;
+  scan([&](std::vector<SqlValue>&&) { ++rows; });
+  EXPECT_EQ(rows, static_cast<size_t>(kNewProcesses));
 }
 
 // --- translator ---------------------------------------------------------------
