@@ -69,17 +69,22 @@ class DenseBitset {
     return count;
   }
 
-  /// Materializes the member ids in ascending order.
-  std::vector<uint32_t> ToVector() const {
-    std::vector<uint32_t> out;
+  /// Calls fn(id) for every member id in ascending order.
+  template <typename Fn>
+  void ForEach(const Fn& fn) const {
     for (size_t w = 0; w < bits_.size(); ++w) {
       uint64_t word = bits_[w];
       while (word != 0) {
-        int bit = std::countr_zero(word);
-        out.push_back(static_cast<uint32_t>(w * 64 + bit));
+        fn(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
         word &= word - 1;
       }
     }
+  }
+
+  /// Materializes the member ids in ascending order.
+  std::vector<uint32_t> ToVector() const {
+    std::vector<uint32_t> out;
+    ForEach([&](uint32_t id) { out.push_back(id); });
     return out;
   }
 

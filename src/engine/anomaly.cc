@@ -179,10 +179,11 @@ Result<QueryResult> AnomalyExecutor::Execute(const AnalyzedQuery& analyzed,
 
   // --- scan ------------------------------------------------------------------
   std::vector<EventRef> events;
+  SummaryKeyGroups keys = ScanKeyGroups(pattern);
   AIQL_ASSIGN_OR_RETURN(
       auto partitions,
       view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
-                              pattern.op_mask));
+                              pattern.op_mask, &keys));
   stats.partitions_scanned = partitions.size();
   for (const auto& [key, partition] : partitions) {
     stats.events_scanned += ScanPartition(

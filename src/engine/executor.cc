@@ -197,11 +197,13 @@ Result<QueryResult> MultieventExecutor::Execute(const AnalyzedQuery& analyzed,
         pattern_ast.subject.var == pattern_ast.object.var;
 
     // Partition-parallel scan (zero-copy: references into sealed
-    // partitions).
+    // partitions). Cold partitions whose entity summary misses a candidate
+    // side are never materialized.
+    SummaryKeyGroups keys = ScanKeyGroups(pattern);
     AIQL_ASSIGN_OR_RETURN(
         auto partitions,
         view_->SelectPartitions(pattern.time_range, analyzed.agent_filter,
-                                pattern.op_mask));
+                                pattern.op_mask, &keys));
     stats.partitions_scanned += partitions.size();
     std::vector<std::vector<EventRef>> local_matches(partitions.size());
     std::vector<uint64_t> local_scanned(partitions.size(), 0);

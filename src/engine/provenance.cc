@@ -235,21 +235,25 @@ Result<ProvenanceResult> TrackProvenance(const std::vector<ReadView>& views,
     // partition whose entity summary misses every frontier key in the
     // shard, cannot yield a candidate and is never materialized.
     std::vector<ShardPartition> partitions;
-    SummaryHashes keys;
     for (size_t s = 0; s < num_shards; ++s) {
       if (shard_dropped[s]) continue;
-      keys.clear();
-      for (uint32_t slot : frontier) {
-        EntityId local = local_ids[static_cast<size_t>(slot) * num_shards + s];
-        if (local == kInvalidEntityId) continue;
-        const EntityType type = result.nodes[slot].type;
-        if (object_side_mask != 0) {
-          keys.push_back(SummaryHash(ObjectSummaryKey(type, local)));
+      // One group, the frontier's keys in this shard, gathered only when
+      // selection first reaches a cold partition.
+      SummaryKeyGroups keys;
+      keys.Add([&, s](std::vector<uint64_t>* out) {
+        for (uint32_t slot : frontier) {
+          EntityId local =
+              local_ids[static_cast<size_t>(slot) * num_shards + s];
+          if (local == kInvalidEntityId) continue;
+          const EntityType type = result.nodes[slot].type;
+          if (object_side_mask != 0) {
+            out->push_back(ObjectSummaryKey(type, local));
+          }
+          if (type == EntityType::kProcess && subject_side_mask != 0) {
+            out->push_back(SubjectSummaryKey(local));
+          }
         }
-        if (type == EntityType::kProcess && subject_side_mask != 0) {
-          keys.push_back(SummaryHash(SubjectSummaryKey(local)));
-        }
-      }
+      });
       auto select = [&]() -> Result<SelectedPartitions> {
         return views[s].SelectPartitions(
             scan_range, options.agents, object_side_mask | subject_side_mask,

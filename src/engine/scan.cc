@@ -277,4 +277,24 @@ uint64_t ScanPartition(const EventPartition& partition,
   return flush_charge(posting_rows);
 }
 
+SummaryKeyGroups ScanKeyGroups(const CompiledPattern& pattern) {
+  SummaryKeyGroups groups;
+  if (pattern.subject.candidates.has_value()) {
+    const EntitySet& ids = *pattern.subject.candidates;
+    groups.Add([&ids](std::vector<uint64_t>* keys) {
+      ids.ForEach(
+          [&](EntityId id) { keys->push_back(SubjectSummaryKey(id)); });
+    });
+  }
+  if (pattern.object.candidates.has_value()) {
+    const EntitySet& ids = *pattern.object.candidates;
+    const EntityType type = pattern.object.type;
+    groups.Add([&ids, type](std::vector<uint64_t>* keys) {
+      ids.ForEach(
+          [&](EntityId id) { keys->push_back(ObjectSummaryKey(type, id)); });
+    });
+  }
+  return groups;
+}
+
 }  // namespace aiql

@@ -21,6 +21,7 @@
 
 #include "common/cancellation.h"
 #include "engine/data_query.h"
+#include "storage/key_summary.h"
 #include "storage/partition.h"
 
 namespace aiql {
@@ -46,6 +47,14 @@ uint64_t ScanPartition(const EventPartition& partition,
                        const CompiledPattern& pattern, const TimeRange& range,
                        bool same_var_both_sides, std::vector<EventRef>* out,
                        QueryContext* ctx = nullptr);
+
+/// The summary key groups that select the cold partitions a scan of
+/// `pattern` can match (ReadView::SelectPartitions): one group per side
+/// with a candidate set, holding exactly the entities ScanPartition accepts
+/// on that side (subject ids; object ids of the pattern's object type). A
+/// summary that misses a group therefore proves the partition holds no
+/// match. The groups reference `pattern`'s candidate sets.
+SummaryKeyGroups ScanKeyGroups(const CompiledPattern& pattern);
 
 }  // namespace aiql
 

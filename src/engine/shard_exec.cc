@@ -313,6 +313,7 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
       // per policy. The `shard.scatter` failpoint covers the gathered path
       // here too (same site name as the fast path, arg = shard index).
       int attempts = 0;
+      SummaryKeyGroups keys = ScanKeyGroups(compiled[s][p]);
       auto selected = AttemptShard(
           s, options, ctx, &attempts,
           [&]() -> Result<std::vector<
@@ -321,7 +322,7 @@ Result<QueryResult> ExecuteShardsGathered(const AnalyzedQuery& analyzed,
                 Failpoint::Hit("shard.scatter", static_cast<int64_t>(s)));
             return views[s].SelectPartitions(ranges[p],
                                              analyzed.agent_filter,
-                                             compiled[s][p].op_mask);
+                                             compiled[s][p].op_mask, &keys);
           });
       shard_status[s].attempts = std::max(shard_status[s].attempts, attempts);
       if (!selected.ok()) {

@@ -12,7 +12,7 @@ namespace aiql {
 
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
-                            OpMask ops, const SummaryHashes* keys,
+                            OpMask ops, SummaryKeyGroups* keys,
                             const PartitionStats& stats) {
   if (agents.has_value()) {
     bool found = std::find(agents->begin(), agents->end(),
@@ -29,7 +29,7 @@ bool PartitionStatsSelected(const TimeRange& range,
   }
   if (!has_op) return false;
   if (keys != nullptr && stats.key_summary != nullptr) {
-    if (!SummaryMayContainAny(*stats.key_summary, *keys)) return false;
+    if (!keys->MayMatch(*stats.key_summary)) return false;
     if (!Failpoint::Hit("storage.summary.miss", stats.key.Fold()).ok()) {
       return false;
     }
@@ -127,7 +127,7 @@ Result<const EventPartition*> ReadView::MaterializeCold(size_t index) const {
 Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
 ReadView::SelectPartitions(const TimeRange& range,
                            const std::optional<std::vector<AgentId>>& agents,
-                           OpMask ops, const SummaryHashes* keys) const {
+                           OpMask ops, SummaryKeyGroups* keys) const {
   std::vector<std::pair<PartitionKey, const EventPartition*>> out;
   AIQL_RETURN_IF_ERROR(ForEachPartition(
       [&](const PartitionStats& stats, const EventPartition* partition,

@@ -136,13 +136,12 @@ struct PartitionStats {
   uint64_t events = 0;
   const std::array<uint64_t, kNumOpTypes>* op_counts = nullptr;
   /// Entity summary (storage/key_summary.h) of a cold partition; null for
-  /// a resident one, whose exact reverse indexes a hop probes directly.
+  /// a resident one, whose exact reverse indexes a hop probes directly and
+  /// whose rows a scan tests against its candidate sets.
   const std::string* key_summary = nullptr;
 };
 
-/// A provenance hop's frontier keys, hashed for summary probes
-/// (SummaryHash of SubjectSummaryKey / ObjectSummaryKey).
-using SummaryHashes = std::vector<uint64_t>;
+class SummaryKeyGroups;
 
 /// The one partition-selection predicate of every read path (database,
 /// snapshot and tiered views), evaluated on statistics alone so a cold
@@ -152,12 +151,14 @@ using SummaryHashes = std::vector<uint64_t>;
 /// is in `agents` (nullopt = all), its
 /// [min_ts, max_ts] overlaps `range`, it holds an event of some op in
 /// `ops`, and — when `keys` is given and the partition carries a summary —
-/// its summary may hold one of `keys`. The `storage.summary.miss`
-/// failpoint (arg = PartitionKey::Fold()) forces a summary miss; tests use
-/// it to prove that a false negative would be caught.
+/// its summary may hold some key of every group in `keys`. The summary is
+/// probed last, so `keys` gathers and hashes its groups only once a cold
+/// partition passes every other test. The `storage.summary.miss` failpoint
+/// (arg = PartitionKey::Fold()) forces a summary miss after every group
+/// passed; tests use it to prove that a false negative would be caught.
 bool PartitionStatsSelected(const TimeRange& range,
                             const std::optional<std::vector<AgentId>>& agents,
-                            OpMask ops, const SummaryHashes* keys,
+                            OpMask ops, SummaryKeyGroups* keys,
                             const PartitionStats& stats);
 
 /// A consistent snapshot of the database's sealed partitions plus aggregate
@@ -200,15 +201,18 @@ class ReadView {
   }
 
   /// Sealed partitions that PartitionStatsSelected admits for `range`,
-  /// `agents` (nullopt = all agents), `ops` and, for a provenance hop, the
-  /// frontier `keys`. Ordered by (bucket, agent, seq). On a snapshot- or
-  /// tiered-backed view this materializes (and caches) exactly the
-  /// selected cold partitions, and fails with IOError/Corruption if a
+  /// `agents` (nullopt = all agents), `ops` and the summary key groups
+  /// `keys` (null = no entity test). A provenance hop passes one group, its
+  /// frontier; a scan passes one group per pattern side with a candidate
+  /// set (ScanKeyGroups), exactly the entities its rows are tested against,
+  /// so pruning never drops a match. Ordered by (bucket, agent, seq). On a
+  /// snapshot- or tiered-backed view this materializes (and caches) exactly
+  /// the selected cold partitions, and fails with IOError/Corruption if a
   /// segment cannot be read back intact.
   Result<std::vector<std::pair<PartitionKey, const EventPartition*>>>
   SelectPartitions(const TimeRange& range,
                    const std::optional<std::vector<AgentId>>& agents,
-                   OpMask ops, const SummaryHashes* keys = nullptr) const;
+                   OpMask ops, SummaryKeyGroups* keys = nullptr) const;
 
   /// The exact counts the pruning-power estimator reads, over the
   /// partitions `range` and `agents` select (any op).

@@ -21,15 +21,33 @@ bool ForEachProbe(uint64_t hash, uint64_t m, const Fn& fn) {
   return true;
 }
 
-}  // namespace
-
+/// Hash of a summary-space key; the probes of every filter derive from it
+/// (splitmix64 finalizer).
 uint64_t SummaryHash(uint64_t key) {
-  // splitmix64 finalizer.
   key += 0x9E3779B97F4A7C15ULL;
   key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9ULL;
   key = (key ^ (key >> 27)) * 0x94D049BB133111EBULL;
   return key ^ (key >> 31);
 }
+
+/// False only when no hash in `hashes` was added to `summary`. Returns at
+/// the first hash that may be present.
+bool SummaryMayContainAny(std::string_view summary,
+                          const std::vector<uint64_t>& hashes) {
+  const uint64_t m = summary.size() * 8;
+  if (m == 0) return false;
+  const auto* bytes = reinterpret_cast<const uint8_t*>(summary.data());
+  for (uint64_t hash : hashes) {
+    if (ForEachProbe(hash, m, [&](uint64_t bit) {
+          return ((bytes[bit >> 3] >> (bit & 7)) & 1) != 0;
+        })) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 std::string BuildKeySummary(const EntityPostingIndex& subject_index,
                             const EntityPostingIndex& object_index) {
@@ -58,19 +76,20 @@ uint64_t MaxKeySummaryBytes(uint64_t events) {
   return (events * kBitsPerEvent + 7) / 8;
 }
 
-bool SummaryMayContainAny(std::string_view summary,
-                          const std::vector<uint64_t>& hashes) {
-  const uint64_t m = summary.size() * 8;
-  if (m == 0) return false;
-  const auto* bytes = reinterpret_cast<const uint8_t*>(summary.data());
-  for (uint64_t hash : hashes) {
-    if (ForEachProbe(hash, m, [&](uint64_t bit) {
-          return ((bytes[bit >> 3] >> (bit & 7)) & 1) != 0;
-        })) {
-      return true;
+void SummaryKeyGroups::Add(Fill fill) {
+  groups_.push_back(Group{std::move(fill), {}});
+}
+
+bool SummaryKeyGroups::MayMatch(std::string_view summary) {
+  for (Group& group : groups_) {
+    if (group.fill) {
+      group.fill(&group.hashes);
+      group.fill = nullptr;
+      for (uint64_t& key : group.hashes) key = SummaryHash(key);
     }
+    if (!SummaryMayContainAny(summary, group.hashes)) return false;
   }
-  return false;
+  return true;
 }
 
 }  // namespace aiql

@@ -1,10 +1,13 @@
 // Per-partition entity summary: a Bloom filter over a sealed partition's
 // reverse-index keys (the subject index's process ids and the object
 // index's ObjectKeys), persisted in the snapshot v2 directory (format
-// version 5). A provenance hop hashes its frontier once and skips every
-// cold partition whose summary misses all of the hashes, so the partition
-// is never materialized. A Bloom filter has no false negatives: a skipped
-// partition holds no posting of any frontier entity.
+// version 5). Partition selection probes it with key groups
+// (SummaryKeyGroups) and skips every cold partition whose summary misses
+// all keys of some group, so the partition is never materialized. A
+// provenance hop passes one group, its frontier; a scan passes one group
+// per pattern side with a candidate set. A Bloom filter has no false
+// negatives: a skipped partition holds no event with a key of that group,
+// so it holds no edge of the hop and no match of the scan.
 //
 // Subject and object keys share one filter; subject keys carry a tag bit
 // that no object key has, so process 5 as a subject and process 5 as an
@@ -14,6 +17,7 @@
 #define AIQL_STORAGE_KEY_SUMMARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,9 +39,6 @@ inline uint64_t ObjectSummaryKey(EntityType type, EntityId id) {
   return EventPartition::ObjectKey(type, id);
 }
 
-/// Hash of a summary-space key; the probes of every filter derive from it.
-uint64_t SummaryHash(uint64_t key);
-
 /// Summary of a sealed partition's reverse indexes: kSummaryBitsPerKey bits
 /// per distinct subject and object key, rounded up to whole bytes. Empty for
 /// an empty partition.
@@ -48,9 +49,32 @@ std::string BuildKeySummary(const EntityPostingIndex& subject_index,
 /// adds at most one subject key and one object key. Saturates.
 uint64_t MaxKeySummaryBytes(uint64_t events);
 
-/// False only when no hash in `hashes` was added to `summary`.
-bool SummaryMayContainAny(std::string_view summary,
-                          const std::vector<uint64_t>& hashes);
+/// The key groups a selection probes cold summaries with: a partition may
+/// match only if its summary may hold some key of every group. A group's
+/// keys are gathered and hashed the first time a probe needs them, so a
+/// selection that reaches no cold partition passing its time, agent and op
+/// tests (an all-hot view) does no work for them. Not thread-safe: one
+/// selection at a time.
+class SummaryKeyGroups {
+ public:
+  /// Appends a group's summary-space keys to its argument.
+  using Fill = std::function<void(std::vector<uint64_t>*)>;
+
+  /// Adds a group whose keys `fill` appends. `fill` runs at most once, on
+  /// the first probe, and what it reads must stay valid until then.
+  void Add(Fill fill);
+
+  /// False only when `summary` misses every key of some group (an empty
+  /// group is missed by every summary).
+  bool MayMatch(std::string_view summary);
+
+ private:
+  struct Group {
+    Fill fill;  ///< reset once the hashes are built
+    std::vector<uint64_t> hashes;
+  };
+  std::vector<Group> groups_;
+};
 
 }  // namespace aiql
 

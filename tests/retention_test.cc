@@ -2,13 +2,15 @@
 // states (hot, cold, merged, mid-compaction), memory-budgeted eviction
 // under concurrent queries, crash/abort injection at the compaction and
 // demotion commit points, recovery from the retention directory, the
-// retention horizon (tombstoning + entity aging), and QueryContext byte
-// budgets governing cold materialization.
+// retention horizon (tombstoning + entity aging), QueryContext byte
+// budgets governing cold materialization, and cold selection pruned by the
+// entity summaries against each pattern's candidate entities.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,9 @@
 #include "engine/result.h"
 #include "simulator/scenario.h"
 #include "storage/database.h"
+#include "storage/partition_cache.h"
+#include "storage/shard_map.h"
+#include "storage/snapshot.h"
 #include "storage/tiered.h"
 
 namespace aiql {
@@ -93,18 +98,41 @@ const char* kQueries[] = {
 /// Canonicalized result tables for every probe query (rows sorted, so
 /// multiset identity compares with ==; ordered queries stay stable because
 /// the sort is a no-op permutation within equal rows).
+ResultTable RunProbe(AiqlEngine* engine, const std::string& query) {
+  auto result = engine->Execute(query);
+  EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
+  ResultTable table = result.ok() ? std::move(result->table) : ResultTable{};
+  table.SortRows();
+  return table;
+}
+
 std::vector<ResultTable> RunProbes(AiqlEngine* engine) {
   std::vector<ResultTable> out;
-  for (const char* query : kQueries) {
-    auto result = engine->Execute(query);
-    EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-    ResultTable table =
-        result.ok() ? std::move(result->table) : ResultTable{};
-    table.SortRows();
-    out.push_back(std::move(table));
-  }
+  for (const char* query : kQueries) out.push_back(RunProbe(engine, query));
   return out;
 }
+
+/// Queries that name one rare file (each agent reads /h2/f3 three times,
+/// all in hour 2), paired with the same patterns without that entity
+/// constraint, which can match in every hour.
+struct PrunedQuery {
+  const char* constrained;
+  const char* unconstrained;
+};
+const PrunedQuery kPrunedQueries[] = {
+    {"proc p1 read file f1[\"/h2/f3\"] as e1 return p1, f1, e1.amount",
+     "proc p1 read file f1 as e1 return p1, f1, e1.amount"},
+    // Anomaly executor.
+    {"window = 1 min, step = 1 min proc p read file f[\"/h2/f3\"] as evt "
+     "return p, sum(evt.amount) as s group by p",
+     "window = 1 min, step = 1 min proc p read file f as evt "
+     "return p, sum(evt.amount) as s group by p"},
+    // Two patterns: over a shard map this is the gathered path.
+    {"proc p1 read file f1[\"/h2/f3\"] as e1 "
+     "proc p1 write file f2[\"/h2/f4\"] as e2 return distinct p1, f1, f2",
+     "proc p1 read file f1 as e1 "
+     "proc p1 write file f2[\"/h2/f4\"] as e2 return distinct p1, f1, f2"},
+};
 
 class RetentionTest : public ::testing::Test {
  protected:
@@ -445,6 +473,164 @@ TEST_F(RetentionTest, RetentionHorizonTombstonesAndAgesEntities) {
   auto reopened = TieredStore::Create(SmallPartitions(), reopen_opts);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->stats().cold_partitions, cold_before);
+}
+
+/// The cold backends the summary-pruning tests run: a fully demoted tiered
+/// store, a snapshot store and two snapshot-backed shards, each behind a
+/// one-byte cache, so every cold partition a selection keeps is a cache
+/// miss (and, once resident before, a reopen).
+class SummaryPruningTest : public RetentionTest {
+ protected:
+  struct Backend {
+    std::string name;
+    std::unique_ptr<AiqlEngine> engine;
+    std::function<uint64_t()> misses;
+    std::function<uint64_t()> reopens;
+  };
+
+  void TearDown() override {
+    backends_.clear();
+    map_.reset();
+    shards_.clear();
+    caches_.clear();
+    tiered_.reset();
+    for (const std::string& path : paths_) std::remove(path.c_str());
+    RetentionTest::TearDown();
+  }
+
+  /// Opens `path` (a saved snapshot) behind its own one-byte cache.
+  SnapshotStore* OpenCold(const AuditDatabase& db, const std::string& path) {
+    EXPECT_TRUE(SaveSnapshot(db, path).ok());
+    paths_.push_back(path);
+    auto store = SnapshotStore::Open(path);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    if (!store.ok()) return nullptr;
+    caches_.push_back(std::make_unique<PartitionCache>(1));
+    (*store)->AttachCache(caches_.back().get());
+    shards_.push_back(std::move(*store));
+    return shards_.back().get();
+  }
+
+  void BuildBackends() {
+    auto db = IngestRecords(BuildRecords(), SmallPartitions());
+    ASSERT_TRUE(db.ok());
+    hot_db_ = std::make_unique<AuditDatabase>(std::move(*db));
+    hot_ = std::make_unique<AiqlEngine>(hot_db_.get());
+
+    RetentionOptions retention;
+    retention.hot_buckets = -1;
+    retention.compact_min_partitions = 0;
+    retention.memory_budget_bytes = 1;
+    tiered_ = BuildTiered(retention);
+    ASSERT_NE(tiered_, nullptr);
+    ASSERT_TRUE(tiered_->CompactOnce().ok());
+    ASSERT_EQ(tiered_->stats().hot_partitions, 0u);
+    TieredStore* tiered = tiered_.get();
+    backends_.push_back(
+        {"tiered", std::make_unique<AiqlEngine>(tiered),
+         [tiered] { return tiered->stats().cache.misses; },
+         [tiered] { return tiered->stats().reopens; }});
+
+    SnapshotStore* snapshot = OpenCold(*hot_db_, dir_ + ".snap");
+    ASSERT_NE(snapshot, nullptr);
+    backends_.push_back(
+        {"snapshot", std::make_unique<AiqlEngine>(snapshot),
+         [snapshot] { return snapshot->cache()->stats().misses; },
+         [snapshot] { return snapshot->reopens(); }});
+
+    const std::vector<ShardRange> ranges = EvenAgentRanges(2, 1, 3);
+    auto routed = RouteRecordsByAgent(ranges, BuildRecords());
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    map_ = std::make_unique<ShardMap>();
+    std::vector<SnapshotStore*> stores;
+    for (size_t s = 0; s < ranges.size(); ++s) {
+      auto shard_db = IngestRecords((*routed)[s], SmallPartitions());
+      ASSERT_TRUE(shard_db.ok());
+      SnapshotStore* store =
+          OpenCold(*shard_db, dir_ + ".shard" + std::to_string(s));
+      ASSERT_NE(store, nullptr);
+      ASSERT_TRUE(map_->AddShard(store, ranges[s]).ok());
+      stores.push_back(store);
+    }
+    auto sum = [stores](uint64_t (*count)(const SnapshotStore&)) {
+      return [stores, count] {
+        uint64_t total = 0;
+        for (const SnapshotStore* store : stores) total += count(*store);
+        return total;
+      };
+    };
+    backends_.push_back(
+        {"2-shard snapshot", std::make_unique<AiqlEngine>(map_.get()),
+         sum([](const SnapshotStore& s) { return s.cache()->stats().misses; }),
+         sum([](const SnapshotStore& s) { return s.reopens(); })});
+  }
+
+  std::unique_ptr<AuditDatabase> hot_db_;
+  std::unique_ptr<AiqlEngine> hot_;
+  std::unique_ptr<TieredStore> tiered_;
+  std::vector<std::unique_ptr<PartitionCache>> caches_;
+  std::vector<std::unique_ptr<SnapshotStore>> shards_;
+  std::unique_ptr<ShardMap> map_;
+  std::vector<std::string> paths_;
+  std::vector<Backend> backends_;
+};
+
+/// A pattern naming a rare entity selects only the cold partitions whose
+/// summary may hold it: the rows equal the all-hot rows, and the query
+/// misses the cache (and reopens) strictly less often than the same
+/// patterns without the constraint.
+TEST_F(SummaryPruningTest, CandidateEntitiesPruneColdReopens) {
+  BuildBackends();
+  for (const PrunedQuery& query : kPrunedQueries) {
+    SCOPED_TRACE(query.constrained);
+    const ResultTable baseline = RunProbe(hot_.get(), query.constrained);
+    ASSERT_FALSE(baseline.rows.empty());
+    for (Backend& backend : backends_) {
+      SCOPED_TRACE(backend.name);
+      // Every partition has been resident once, so each later decode is a
+      // reopen.
+      RunProbe(backend.engine.get(), query.unconstrained);
+      const uint64_t misses = backend.misses();
+      const uint64_t reopens = backend.reopens();
+      EXPECT_EQ(RunProbe(backend.engine.get(), query.constrained), baseline);
+      const uint64_t pruned_misses = backend.misses() - misses;
+      const uint64_t pruned_reopens = backend.reopens() - reopens;
+      RunProbe(backend.engine.get(), query.unconstrained);
+      const uint64_t full_misses = backend.misses() - misses - pruned_misses;
+      const uint64_t full_reopens =
+          backend.reopens() - reopens - pruned_reopens;
+      EXPECT_GT(pruned_misses, 0u);
+      EXPECT_LT(pruned_misses, full_misses);
+      EXPECT_LT(pruned_reopens, full_reopens);
+    }
+  }
+}
+
+/// Scans skip a cold partition whose summary misses a candidate side. A
+/// false negative there would silently drop rows; forcing one (the
+/// `storage.summary.miss` failpoint, aimed at the partition holding the
+/// query's only match) must lose the row on every cold backend, while the
+/// all-hot database, which carries no summary, still returns it.
+TEST_F(SummaryPruningTest, SummaryFalseNegativeIsCaught) {
+  BuildBackends();
+  const std::string query =
+      "agentid = 2 proc p1 read file f1[\"/h2/f3\"] as e1 return distinct f1";
+  const ResultTable baseline = RunProbe(hot_.get(), query);
+  ASSERT_EQ(baseline.rows.size(), 1u);
+  for (Backend& backend : backends_) {
+    EXPECT_EQ(RunProbe(backend.engine.get(), query), baseline) << backend.name;
+  }
+
+  FailpointSpec spec;
+  spec.arg_filter = PartitionKey{T0() / kHour + 2, 2}.Fold();
+  Failpoint::Set("storage.summary.miss", spec);
+  for (Backend& backend : backends_) {
+    EXPECT_TRUE(RunProbe(backend.engine.get(), query).rows.empty())
+        << backend.name;
+  }
+  EXPECT_EQ(RunProbe(hot_.get(), query), baseline);
+  EXPECT_GT(Failpoint::HitCount("storage.summary.miss"), 0u);
+  Failpoint::ClearAll();
 }
 
 }  // namespace

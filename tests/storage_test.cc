@@ -250,9 +250,21 @@ TEST(PartitionTest, SelectionPrunesOnDirectoryStatistics) {
 
   const EntityStore& entities = db.entities();
   const EntityId w = entities.FindFile(FileRef{1, "/w"});
+  const EntityId r = entities.FindFile(FileRef{1, "/r"});
   ASSERT_NE(w, kInvalidEntityId);
-  const SummaryHashes only_w = {
-      SummaryHash(ObjectSummaryKey(EntityType::kFile, w))};
+  ASSERT_NE(r, kInvalidEntityId);
+  // One summary key group per file list.
+  auto file_groups = [](std::vector<std::vector<EntityId>> files) {
+    SummaryKeyGroups groups;
+    for (std::vector<EntityId>& group : files) {
+      groups.Add([group = std::move(group)](std::vector<uint64_t>* keys) {
+        for (EntityId id : group) {
+          keys->push_back(ObjectSummaryKey(EntityType::kFile, id));
+        }
+      });
+    }
+    return groups;
+  };
   const TimeRange all{INT64_MIN, INT64_MAX};
   struct Backing {
     const char* name;
@@ -265,7 +277,7 @@ TEST(PartitionTest, SelectionPrunesOnDirectoryStatistics) {
   backings.push_back({"tiered", (*tiered)->OpenReadView(), true});
   for (const Backing& backing : backings) {
     SCOPED_TRACE(backing.name);
-    auto buckets = [&](OpMask ops, const SummaryHashes* keys) {
+    auto buckets = [&](OpMask ops, SummaryKeyGroups* keys) {
       std::vector<int64_t> out;
       auto selected =
           backing.view.SelectPartitions(all, std::nullopt, ops, keys);
@@ -287,10 +299,22 @@ TEST(PartitionTest, SelectionPrunesOnDirectoryStatistics) {
     EXPECT_TRUE(buckets(OpBit(OpType::kConnect), nullptr).empty());
     // A hop for /w: a cold partition's summary rules hour 1 out; resident
     // partitions carry no summary and are probed exactly by the hop.
+    const std::vector<int64_t> both{hour0, hour0 + 1};
     const std::vector<int64_t> hop_w =
-        backing.cold ? std::vector<int64_t>{hour0}
-                     : std::vector<int64_t>{hour0, hour0 + 1};
+        backing.cold ? std::vector<int64_t>{hour0} : both;
+    SummaryKeyGroups only_w = file_groups({{w}});
     EXPECT_EQ(buckets(kAllOps, &only_w), hop_w);
+    // A group matches on any of its keys; a partition must match every
+    // group, so /w and /r as two groups rule out both cold partitions.
+    SummaryKeyGroups w_or_r = file_groups({{w, r}});
+    EXPECT_EQ(buckets(kAllOps, &w_or_r), both);
+    SummaryKeyGroups w_and_r = file_groups({{w}, {r}});
+    EXPECT_EQ(buckets(kAllOps, &w_and_r),
+              backing.cold ? std::vector<int64_t>{} : both);
+    // An empty group rules out every cold partition.
+    SummaryKeyGroups none = file_groups({{}});
+    EXPECT_EQ(buckets(kAllOps, &none),
+              backing.cold ? std::vector<int64_t>{} : both);
   }
   backings.clear();
   tiered->reset();
