@@ -95,9 +95,9 @@ const char* kQueries[] = {
     "return p1, f1, e1.start_ts order by e1.start_ts limit 1000",
 };
 
-/// Canonicalized result tables for every probe query (rows sorted, so
-/// multiset identity compares with ==; ordered queries stay stable because
-/// the sort is a no-op permutation within equal rows).
+/// The canonicalized result table of `query` (rows sorted, so multiset
+/// identity compares with ==; ordered queries stay stable because the sort
+/// is a no-op permutation within equal rows).
 ResultTable RunProbe(AiqlEngine* engine, const std::string& query) {
   auto result = engine->Execute(query);
   EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
@@ -106,6 +106,7 @@ ResultTable RunProbe(AiqlEngine* engine, const std::string& query) {
   return table;
 }
 
+/// RunProbe of every probe query.
 std::vector<ResultTable> RunProbes(AiqlEngine* engine) {
   std::vector<ResultTable> out;
   for (const char* query : kQueries) out.push_back(RunProbe(engine, query));
